@@ -34,14 +34,16 @@ import numpy as np
 
 from .errors import ConvergenceError, ValidationError
 from .exact_law import (
+    _BLOCK_SIZE,
     ModelParams,
+    _blocks,
     _malliavin_kernel_array,
     cov_exact,
     mean_exact,
 )
-from .kernels import TimeGrid, c_matrix, jacobi_rule, legendre_rule
+from .kernels import TimeGrid, jacobi_rule, legendre_rule
 from .moments import cubic_exact, cubic_scheme
-from .scheme import FunctionSpec, _driver_factor, build_scheme_law
+from .scheme import FunctionSpec, _driver_factor, _propagate, _resolvent, build_scheme_law
 from .specfun import SeriesControl, gamma
 
 _QUANTITIES = ("mean_X", "var_X", "cov_X", "cubic_L")
@@ -205,7 +207,7 @@ def weak_error_curve(
         ref = cubic_exact(p, f_id)
     errors = []
     for n in ns:
-        law = build_scheme_law(TimeGrid(n, T), p, ctl)
+        law = build_scheme_law(TimeGrid(n, T), p)
         if quantity == "mean_X":
             approx = law.mean[n]
         elif quantity == "var_X":
@@ -331,7 +333,6 @@ def _last_cell_difference_sq(p: ModelParams, dt: float) -> float:
 def strong_error_exact(
     grid: TimeGrid,
     p: ModelParams,
-    ctl: SeriesControl | None = None,
     npts: int = 20,
 ) -> float:
     """L^2 distance sqrt(Var(X_T - Xc_T)) between exact and scheme at T.
@@ -355,7 +356,7 @@ def strong_error_exact(
     """
     if p.kappa2_is_zero:
         return 0.0
-    law = build_scheme_law(grid, p, ctl)
+    law = build_scheme_law(grid, p)
     n, T = grid.n, grid.T
     a = p.alpha
     dt = grid.dt
@@ -386,19 +387,6 @@ def strong_error_exact(
     return math.sqrt(max(var_diff, 0.0))
 
 
-def _propagate(p: ModelParams, b, f, c, dt, dW, G, dB):
-    """Terminal (Xc_T, Lc_T) from given driver blocks (paths along axis 0)."""
-    count, n = dW.shape
-    X = np.empty((count, n + 1))
-    X[:, 0] = p.x0
-    for k in range(1, n + 1):
-        X[:, k] = p.x0 + (p.kappa1 + p.kappa2 * X[:, :k]) @ c[:k, k] + p.sigma * G[:, k - 1]
-    L = np.full(count, p.L0)
-    for k in range(n):
-        L = L + b.value(X[:, k]) * dt + f.value(X[:, k]) * dB[:, k]
-    return X[:, n], L
-
-
 def mc_weak_error(
     phi: FunctionSpec,
     b: FunctionSpec,
@@ -408,7 +396,7 @@ def mc_weak_error(
     n_fine: int,
     paths: int,
     seed: int,
-    block_size: int = 8192,
+    block_size: int = _BLOCK_SIZE,
 ) -> MCComparison:
     """Common-random-numbers estimate of E phi(Lc^coarse) - E phi(Lc^fine).
 
@@ -436,21 +424,16 @@ def mc_weak_error(
     ratio = n_fine // n_coarse
     grid_f = TimeGrid(n_fine, p.T)
     grid_c = TimeGrid(n_coarse, p.T)
-    _, chol = _driver_factor(p, grid_f)
-    c_f = c_matrix(grid_f, p.alpha)
-    c_c = c_matrix(grid_c, p.alpha)
+    chol = _driver_factor(p, grid_f)
+    fine = _resolvent(grid_f, p)
+    coarse = _resolvent(grid_c, p)
     dt_f, dt_c = grid_f.dt, grid_c.dt
     rho = p.rho
     rho_perp = math.sqrt(max(1.0 - rho * rho, 0.0))
     phi_c = np.empty(paths)
     phi_f = np.empty(paths)
-    n_blocks = (paths + block_size - 1) // block_size
-    children = np.random.SeedSequence(seed).spawn(n_blocks)
-    for blk in range(n_blocks):
-        lo = blk * block_size
-        hi = min(lo + block_size, paths)
+    for lo, hi, rng in _blocks(seed, paths, block_size):
         bs = hi - lo
-        rng = np.random.Generator(np.random.PCG64(children[blk]))
         driver = rng.standard_normal((bs, 2 * n_fine)) @ chol.T
         dW_f = driver[:, :n_fine]
         G_f = driver[:, n_fine:]
@@ -460,10 +443,8 @@ def mc_weak_error(
         perp_c = perp_f.reshape(bs, n_coarse, ratio).sum(axis=2)
         dB_c = rho * dW_c + rho_perp * perp_c
         G_c = G_f[:, ratio - 1 :: ratio]
-        _, L_f = _propagate(p, b, f, c_f, dt_f, dW_f, G_f, dB_f)
-        _, L_c = _propagate(p, b, f, c_c, dt_c, dW_c, G_c, dB_c)
-        if not (np.all(np.isfinite(L_f)) and np.all(np.isfinite(L_c))):
-            raise ConvergenceError("mc_weak_error: non-finite path values")
+        _, L_f = _propagate(p, *fine, dt_f, G_f, dB_f, b, f)
+        _, L_c = _propagate(p, *coarse, dt_c, G_c, dB_c, b, f)
         phi_c[lo:hi] = phi.value(L_c)
         phi_f[lo:hi] = phi.value(L_f)
     diff = phi_c - phi_f

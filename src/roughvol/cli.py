@@ -77,7 +77,6 @@ _OPTIONS: dict = {
     "b": (str, "constant:0", "drift coefficient of L, KIND:c0,c1,..."),
     "f": (str, "affine:0,1", "diffusion coefficient of L, KIND:c0,c1,..."),
     "phi": (str, "poly:0,0,0,1", "test function for mc, poly:c0,c1,..."),
-    "threads": (int, None, "worker cap (default: ROUGHVOL_THREADS or 1)"),
     "tol": (float, 0.15, "acceptance band for rate fits"),
     "quantity": (str, "mean_X", "weak-rate target: mean_X|var_X|cov_X|cubic_L"),
     "order": (int, 3, "moment order for the word expansion (1..4)"),
@@ -96,7 +95,6 @@ class RunConfig:
     b: FunctionSpec
     f: FunctionSpec
     phi: FunctionSpec
-    threads: int
     tol: float
     quantity: str
     order: int
@@ -168,11 +166,6 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
             merged[key] = flag_value
     if merged["alpha"] is None:
         raise ValidationError("missing required --alpha")
-    if merged["threads"] is None:
-        try:
-            merged["threads"] = int(os.environ.get("ROUGHVOL_THREADS", "1"))
-        except ValueError as exc:
-            raise ValidationError("ROUGHVOL_THREADS must be an integer") from exc
     params = ModelParams(
         x0=merged["x0"],
         kappa1=merged["kappa1"],
@@ -183,8 +176,6 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         T=merged["horizon"],
         L0=merged["l0"],
     )
-    if merged["threads"] < 1:
-        raise ValidationError(f"--threads must be >= 1, got {merged['threads']}")
     if merged["tol"] <= 0.0:
         raise ValidationError(f"--tol must be positive, got {merged['tol']}")
     return RunConfig(
@@ -195,7 +186,6 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         b=FunctionSpec.parse(merged["b"], role="drift"),
         f=FunctionSpec.parse(merged["f"], role="diffusion"),
         phi=FunctionSpec.parse(merged["phi"], role="test"),
-        threads=int(merged["threads"]),
         tol=float(merged["tol"]),
         quantity=str(merged["quantity"]),
         order=int(merged["order"]),
@@ -225,7 +215,6 @@ def _config_echo(cfg: RunConfig) -> dict:
         "b": _spec_string(cfg.b),
         "f": _spec_string(cfg.f),
         "phi": _spec_string(cfg.phi),
-        "threads": cfg.threads,
         "tol": cfg.tol,
         "quantity": cfg.quantity,
         "order": cfg.order,

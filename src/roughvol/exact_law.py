@@ -445,28 +445,31 @@ def _cholesky_psd(cov: np.ndarray) -> np.ndarray:
 _BLOCK_SIZE = 8192
 
 
+def _blocks(seed: int, count: int, block_size: int = _BLOCK_SIZE):
+    """Yield (lo, hi, rng) for the fixed-size row blocks of 0..count-1.
+
+    One spawned SeedSequence child per block, so the stream layout is a pure
+    function of (seed, count, block_size) -- independent of how many workers
+    consume the blocks.  Every sampler in the package draws through this.
+    """
+    n_blocks = (count + block_size - 1) // block_size
+    for blk, child in enumerate(np.random.SeedSequence(seed).spawn(n_blocks)):
+        lo = blk * block_size
+        yield lo, min(lo + block_size, count), np.random.Generator(np.random.PCG64(child))
+
+
 def sample(
     law: GaussianLaw,
     n_paths: int,
     seed: int,
     block_size: int = _BLOCK_SIZE,
 ) -> np.ndarray:
-    """Draw n_paths of the law; bit-reproducible for a fixed (seed, n_paths).
-
-    Paths are generated in fixed-size blocks, one spawned SeedSequence child
-    per block, so the stream layout is a pure function of (seed, n_paths) --
-    independent of how many workers consume the blocks.
-    """
+    """Draw n_paths of the law; bit-reproducible in (seed, n_paths, block_size)."""
     if n_paths < 1:
         raise ValidationError("sample: n_paths must be >= 1")
     L = _cholesky_psd(law.cov)
-    n_blocks = (n_paths + block_size - 1) // block_size
-    children = np.random.SeedSequence(seed).spawn(n_blocks)
     out = np.empty((n_paths, law.dim))
-    for b in range(n_blocks):
-        lo = b * block_size
-        hi = min(lo + block_size, n_paths)
-        rng = np.random.Generator(np.random.PCG64(children[b]))
+    for lo, hi, rng in _blocks(seed, n_paths, block_size):
         z = rng.standard_normal((hi - lo, law.dim))
         out[lo:hi] = law.mean + z @ L.T
     return out

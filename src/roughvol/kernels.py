@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import roots_jacobi, roots_legendre
 
 from .errors import ValidationError
@@ -29,6 +30,7 @@ __all__ = [
     "TimeGrid",
     "c_weight",
     "c_matrix",
+    "toeplitz_upper",
     "cross_kernel_integral",
     "cross_kernel_table",
     "beta_convolution",
@@ -104,14 +106,16 @@ def c_weight_diffs(grid: TimeGrid, alpha: float) -> np.ndarray:
     return d
 
 
+def toeplitz_upper(seq: np.ndarray) -> np.ndarray:
+    """Square array T[i, k] = seq[k - i] for k >= i, zero below the diagonal."""
+    m = len(seq)
+    padded = np.concatenate((np.zeros(m - 1), seq))
+    return sliding_window_view(padded, m)[::-1].copy()
+
+
 def c_matrix(grid: TimeGrid, alpha: float) -> np.ndarray:
     """Full (n+1)x(n+1) array with C[i, k] = c_{i,k} for i < k, zero elsewhere."""
-    d = c_weight_diffs(grid, alpha)
-    n = grid.n
-    ii, kk = np.meshgrid(np.arange(n + 1), np.arange(n + 1), indexing="ij")
-    gap = kk - ii
-    C = np.where(gap > 0, d[np.clip(gap, 0, n)], 0.0)
-    return C
+    return toeplitz_upper(c_weight_diffs(grid, alpha))
 
 
 def cross_kernel_integral(a: float, b: float, c: float, alpha: float) -> float:

@@ -6,17 +6,21 @@ endpoint and integrates the fractional kernel exactly:
     Xc_{t_k} = x0 + sum_{i<k} (k1 + k2 Xc_{t_i}) c_{i,k} + sigma G_k,
     Lc_{t_{k+1}} = Lc_{t_k} + b(Xc_{t_k}) dt + f(Xc_{t_k}) dB_k,
 
-with c_{i,k} the exact kernel cell weights and G_k the kernel-weighted Wiener
-integrals from the driver law.  Xc is again Gaussian, and its mean, Malliavin
-weights, and covariance close in terms of the same kernel tables:
+with c_{i,k} = d_{k-i} the exact kernel cell weights and G_k the
+kernel-weighted Wiener integrals from the driver law.  On the uniform grid
+the recursion is a discrete convolution, so it is solved once by the
+resolvent omega, the power-series inverse of 1 - k2 d(z) (the discrete twin
+of E_{a,a} in the exact law):
 
-    mean:  mc_k  = x0 + sum_{i<k} (k1 + k2 mc_i) c_{i,k}
+    omega_0 = 1,  omega_m = k2 sum_{j=1..m} d_j omega_{m-j}
+    mean:  mc    = x0 + (k1 + k2 x0) cumsum(omega * d)
     D_s Xc_{t_k} = (sigma/Gamma(a)) sum_{i<=k} w_{i,k} (t_i - s)_+^(a-1),
-                   w_{k,k} = 1,  w_{i,k} = k2 sum_{j=i}^{k-1} c_{j,k} w_{i,j}
-    cov          = (sigma/Gamma(a))^2 w^T K w  with K the kernel cross table.
+                   w_{i,k} = omega_{k-i}
+    cov          = (sigma/Gamma(a))^2 w^T K w  with K the kernel cross table
+    paths        Xc = mc + sigma G w,  one GEMM per block of paths.
 
-Everything deterministic here is an O(n^2)-sized table costing O(n) per entry;
-the build is capped at n <= 4096.
+The resolvent is O(n^2) and the covariance two GEMMs; the law is capped at
+n <= 4096 and path sampling at n <= 2048.
 """
 
 from __future__ import annotations
@@ -28,9 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, ValidationError
-from .exact_law import GaussianLaw, ModelParams, _cholesky_psd, driver_law
-from .kernels import TimeGrid, c_matrix, cross_kernel_table
-from .specfun import SeriesControl, gamma
+from .exact_law import _BLOCK_SIZE, GaussianLaw, ModelParams, _blocks, _cholesky_psd, driver_law
+from .kernels import TimeGrid, c_matrix, c_weight_diffs, cross_kernel_table, toeplitz_upper
+from .specfun import gamma
 
 __all__ = [
     "FunctionSpec",
@@ -42,6 +46,7 @@ __all__ = [
 ]
 
 _MAX_N = 4096
+_MAX_SAMPLE_N = 2048  # the driver law is (2n)^2: 128 MB at the cap, 512 MB at 4096
 _KINDS = ("constant", "affine", "polynomial", "exponential-affine")
 _ROLES = ("drift", "diffusion", "test")
 
@@ -160,14 +165,30 @@ class SchemeLaw:
         return GaussianLaw(labels, self.mean[1:], self.cov[1:, 1:])
 
 
-def build_scheme_law(
-    grid: TimeGrid, p: ModelParams, ctl: SeriesControl | None = None
-) -> SchemeLaw:
+def _resolvent(grid: TimeGrid, p: ModelParams):
+    """(omega, mean): the scheme's discrete resolvent and its mean path, O(n^2).
+
+    omega solves omega_m = k2 sum_{j=1..m} d_j omega_{m-j} with omega_0 = 1,
+    so w_{i,k} = omega_{k-i}; mean[k] is the scheme mean at t_k.
+    """
+    d = c_weight_diffs(grid, p.alpha)
+    n = grid.n
+    omega = np.zeros(n + 1)
+    omega[0] = 1.0
+    if p.kappa2 != 0.0:
+        for m in range(1, n + 1):
+            omega[m] = p.kappa2 * (d[m:0:-1] @ omega[:m])
+    drift = p.kappa1 + p.kappa2 * p.x0
+    mean = p.x0 + drift * np.cumsum(np.convolve(omega, d)[: n + 1])
+    return omega, mean
+
+
+def build_scheme_law(grid: TimeGrid, p: ModelParams) -> SchemeLaw:
     """Mean, Malliavin weight table, and full covariance of the scheme.
 
-    Cost is O(n^3) flops as three dense triangular products; n is capped at
-    4096 and the kernel tables are evaluated at fixed 1e-13 relative accuracy
-    (tighter than any admissible SeriesControl).
+    The weights are the resolvent omega (O(n^2)) and the covariance costs two
+    GEMMs; n is capped at 4096 and the kernel tables are evaluated at fixed
+    1e-13 relative accuracy.
     """
     n = grid.n
     if n > _MAX_N:
@@ -177,21 +198,9 @@ def build_scheme_law(
             f"build_scheme_law: grid horizon {grid.T} != model horizon {p.T}"
         )
     a = p.alpha
-    c = c_matrix(grid, a)
-    k1, k2 = p.kappa1, p.kappa2
-
-    mean = np.empty(n + 1)
-    mean[0] = p.x0
-    for k in range(1, n + 1):
-        mean[k] = p.x0 + (k1 + k2 * mean[:k]) @ c[:k, k]
-
-    w = np.zeros((n + 1, n + 1))
-    np.fill_diagonal(w, 1.0)
-    if k2 != 0.0:
-        for k in range(2, n + 1):
-            w[1:k, k] = k2 * (w[1:k, 1:k] @ c[1:k, k])
-    else:
-        pass  # w stays the identity: no state feedback, no Malliavin mixing
+    omega, mean = _resolvent(grid, p)
+    w = toeplitz_upper(omega)
+    w[0, 1:] = 0.0  # Xc_0 = x0 is deterministic: index 0 carries no weight
 
     K = cross_kernel_table(grid, a)[1:, 1:]
     A = w[1:, 1:]
@@ -200,7 +209,7 @@ def build_scheme_law(
     cov[1:, 1:] = 0.5 * (core + core.T)  # exact symmetry despite dgemm roundoff
     if np.any(np.diag(cov) < -1e-10 * max(float(np.abs(cov).max()), 1.0)):
         raise ConvergenceError("build_scheme_law: negative variance in assembly")
-    return SchemeLaw(params=p, grid=grid, c=c, w=w, mean=mean, cov=cov)
+    return SchemeLaw(params=p, grid=grid, c=c_matrix(grid, a), w=w, mean=mean, cov=cov)
 
 
 def malliavin_scheme(s: float, k: int, law: SchemeLaw) -> float:
@@ -243,10 +252,44 @@ def cell_integrated_malliavin(law: SchemeLaw) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def _driver_factor(p: ModelParams, grid: TimeGrid):
-    """Cholesky factor of the (dW, G) driver law, cached per (params, grid)."""
-    law = driver_law(p, grid)
-    return law, _cholesky_psd(law.cov)
+def _driver_factor(p: ModelParams, grid: TimeGrid) -> np.ndarray:
+    """Cholesky factor of the (dW, G) driver law, cached per (params, grid).
+
+    The law is 2n x 2n, so n is capped before it is built.
+    """
+    if grid.n > _MAX_SAMPLE_N:
+        raise ValidationError(f"path sampling: n <= {_MAX_SAMPLE_N}, got {grid.n}")
+    return _cholesky_psd(driver_law(p, grid).cov)
+
+
+def _propagate(p, omega, mean, dt, G, dB, b, f, full=False):
+    """Scheme paths from one block of driver draws (paths along axis 0).
+
+    X[:, 1:] = mean[1:] + sigma G w solves the Volterra recursion of every
+    step at once; Lc then runs one step at a time.  Returns X (count, n+1)
+    and the Lc path (count, n+1) if ``full``, else Lc_T only.
+    """
+    count, n = G.shape
+    X = np.empty((count, n + 1))
+    X[:, 0] = p.x0
+    Y = X[:, 1:]
+    np.matmul(G, toeplitz_upper(omega[:n]), out=Y)
+    Y *= p.sigma
+    Y += mean[1:]
+    L = np.full(count, p.L0)
+    if full:
+        path = np.empty((count, n + 1))
+        path[:, 0] = L
+    for k in range(n):
+        L = L + b.value(X[:, k]) * dt + f.value(X[:, k]) * dB[:, k]
+        if full:
+            path[:, k + 1] = L
+    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(L))):
+        raise ConvergenceError(
+            "non-finite path values (exponential-affine coefficient overflow "
+            "under extreme draws?)"
+        )
+    return X, path if full else L
 
 
 def sample_scheme_paths(
@@ -256,16 +299,16 @@ def sample_scheme_paths(
     f: FunctionSpec,
     count: int,
     seed: int,
-    block_size: int = 8192,
+    block_size: int = _BLOCK_SIZE,
     keep: str = "full",
 ):
     """Sample (Xc path, Lc path) batches; bit-reproducible in (seed, count,
     block_size).
 
     The driver (dW, G) is drawn exactly from its joint Gaussian law (one
-    cached Cholesky factor per grid), the orthogonal Brownian part is an
-    independent substream, and dB = rho dW + sqrt(1-rho^2) dW_perp.  The Xc
-    marginal is then *exactly* the SchemeLaw Gaussian -- the only
+    cached Cholesky factor per grid, n <= 2048), the orthogonal Brownian part
+    is an independent substream, and dB = rho dW + sqrt(1-rho^2) dW_perp.
+    The Xc marginal is then *exactly* the SchemeLaw Gaussian -- the only
     discretisation is the scheme itself.
 
     keep="full" returns arrays (count, n+1); keep="terminal" returns the
@@ -276,49 +319,21 @@ def sample_scheme_paths(
     if keep not in ("full", "terminal"):
         raise ValidationError(f"sample_scheme_paths: keep must be full|terminal, got {keep!r}")
     n = grid.n
-    law, L = _driver_factor(p, grid)
-    c = c_matrix(grid, p.alpha)
+    chol = _driver_factor(p, grid)
+    omega, mean = _resolvent(grid, p)
     dt = grid.dt
     rho = p.rho
     rho_perp = math.sqrt(max(1.0 - rho * rho, 0.0))
-    n_blocks = (count + block_size - 1) // block_size
-    children = np.random.SeedSequence(seed).spawn(n_blocks)
-    if keep == "full":
-        X_out = np.empty((count, n + 1))
-        L_out = np.empty((count, n + 1))
-    else:
-        X_out = np.empty(count)
-        L_out = np.empty(count)
-    for blk in range(n_blocks):
-        lo = blk * block_size
-        hi = min(lo + block_size, count)
+    full = keep == "full"
+    shape = (count, n + 1) if full else (count,)
+    X_out = np.empty(shape)
+    L_out = np.empty(shape)
+    for lo, hi, rng in _blocks(seed, count, block_size):
         bs = hi - lo
-        rng = np.random.Generator(np.random.PCG64(children[blk]))
-        z = rng.standard_normal((bs, 2 * n))
+        driver = rng.standard_normal((bs, 2 * n)) @ chol.T
         perp = rng.standard_normal((bs, n))
-        driver = z @ L.T
-        dW = driver[:, :n]
-        G = driver[:, n:]
-        dB = rho * dW + rho_perp * math.sqrt(dt) * perp
-        X = np.empty((bs, n + 1))
-        X[:, 0] = p.x0
-        for k in range(1, n + 1):
-            X[:, k] = p.x0 + (p.kappa1 + p.kappa2 * X[:, :k]) @ c[:k, k] + p.sigma * G[:, k - 1]
-        Lpath = np.empty((bs, n + 1))
-        Lpath[:, 0] = p.L0
-        for k in range(n):
-            Lpath[:, k + 1] = (
-                Lpath[:, k] + b.value(X[:, k]) * dt + f.value(X[:, k]) * dB[:, k]
-            )
-        if not (np.all(np.isfinite(X)) and np.all(np.isfinite(Lpath))):
-            raise ConvergenceError(
-                "sample_scheme_paths: non-finite path values (exponential-affine "
-                "coefficient overflow under extreme draws?)"
-            )
-        if keep == "full":
-            X_out[lo:hi] = X
-            L_out[lo:hi] = Lpath
-        else:
-            X_out[lo:hi] = X[:, n]
-            L_out[lo:hi] = Lpath[:, n]
+        dB = rho * driver[:, :n] + rho_perp * math.sqrt(dt) * perp
+        X, L = _propagate(p, omega, mean, dt, driver[:, n:], dB, b, f, full)
+        X_out[lo:hi] = X if full else X[:, n]
+        L_out[lo:hi] = L
     return X_out, L_out

@@ -311,3 +311,5 @@ def test_mc_validation(params):
         mc_weak_error(phi, B_ZERO, F_ID, params, 0, 64, 100, 1)
     with pytest.raises(ValidationError):
         mc_weak_error(phi, B_ZERO, F_ID, params, 64, 32, 100, 1)
+    with pytest.raises(ValidationError):
+        mc_weak_error(phi, B_ZERO, F_ID, params, 2049, 2049, 100, 1)

@@ -182,32 +182,6 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
     assert not (tmp_path / "mc.json").exists()
 
 
-def test_threads_env_fallback(tmp_path, monkeypatch):
-    monkeypatch.setenv("ROUGHVOL_THREADS", "3")
-    assert run(["freeze-gap", "--alpha", "0.6", "--n", "16", "--out", str(tmp_path)]) == 0
-    doc = json.loads(read(tmp_path / "freeze-gap.json"))
-    assert doc["config"]["threads"] == 3
-    monkeypatch.setenv("ROUGHVOL_THREADS", "2")
-    assert (
-        run(
-            [
-                "freeze-gap",
-                "--alpha",
-                "0.6",
-                "--n",
-                "16",
-                "--threads",
-                "1",
-                "--out",
-                str(tmp_path),
-            ]
-        )
-        == 0
-    )
-    doc = json.loads(read(tmp_path / "freeze-gap.json"))
-    assert doc["config"]["threads"] == 1
-
-
 def test_exact_law_marginal_table(tmp_path):
     code = run(
         [

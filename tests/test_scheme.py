@@ -19,6 +19,7 @@ from roughvol import (
     sample_scheme_paths,
 )
 from roughvol.kernels import c_matrix, graded_panels, legendre_rule
+from roughvol.scheme import _propagate, _resolvent
 
 
 # ----------------------------------------------------------- FunctionSpec ----
@@ -83,8 +84,9 @@ def naive_centered_cov(p, grid):
     return p.sigma**2 * S @ gcov @ S.T, S
 
 
-def test_scheme_law_against_naive_linear_algebra(params):
-    g = TimeGrid(6, params.T)
+@pytest.mark.parametrize("n", [6, 64])
+def test_scheme_law_against_naive_linear_algebra(params, n):
+    g = TimeGrid(n, params.T)
     law = build_scheme_law(g, params)
     ref_cov, S = naive_centered_cov(params, g)
     np.testing.assert_allclose(law.cov[1:, 1:], ref_cov, rtol=1e-10, atol=1e-14)
@@ -256,10 +258,42 @@ def test_sampling_validation_and_overflow(params):
         sample_scheme_paths(g, params, b, f, 0, 1)
     with pytest.raises(ValidationError):
         sample_scheme_paths(g, params, b, f, 10, 1, keep="last")
+    with pytest.raises(ValidationError):
+        sample_scheme_paths(TimeGrid(2049, params.T), params, b, f, 10, 1)
     blow_up = FunctionSpec("exponential-affine", (1.0, 900.0), role="diffusion")
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ConvergenceError):
             sample_scheme_paths(g, params, b, blow_up, 50, 1)
+
+
+@pytest.mark.parametrize("full", [True, False])
+def test_propagate_matches_per_step_recursion(params, full):
+    # oracle: the Volterra recursion one step at a time, as the scheme defines it
+    n, count = 64, 50
+    g = TimeGrid(n, params.T)
+    rng = np.random.default_rng(3)
+    G = rng.standard_normal((count, n))
+    dB = math.sqrt(g.dt) * rng.standard_normal((count, n))
+    b = FunctionSpec("constant", (0.1,), role="drift")
+    f = FunctionSpec("polynomial", (0.2, 1.0, 0.5), role="diffusion")
+    c = c_matrix(g, params.alpha)
+    X_ref = np.empty((count, n + 1))
+    X_ref[:, 0] = params.x0
+    for k in range(1, n + 1):
+        X_ref[:, k] = (
+            params.x0
+            + (params.kappa1 + params.kappa2 * X_ref[:, :k]) @ c[:k, k]
+            + params.sigma * G[:, k - 1]
+        )
+    L_ref = np.empty((count, n + 1))
+    L_ref[:, 0] = params.L0
+    for k in range(n):
+        x = X_ref[:, k]
+        L_ref[:, k + 1] = L_ref[:, k] + b.value(x) * g.dt + f.value(x) * dB[:, k]
+
+    X, L = _propagate(params, *_resolvent(g, params), g.dt, G, dB, b, f, full)
+    np.testing.assert_allclose(X, X_ref, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(L, L_ref if full else L_ref[:, n], rtol=0.0, atol=1e-12)
 
 
 @settings(max_examples=10, deadline=None)
