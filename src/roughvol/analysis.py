@@ -43,7 +43,8 @@ from .exact_law import (
 )
 from .kernels import TimeGrid, jacobi_rule, legendre_rule
 from .moments import cubic_exact, cubic_scheme
-from .scheme import FunctionSpec, _driver_factor, _propagate, _resolvent, build_scheme_law
+from .scheme import FunctionSpec, _driver_draws, _driver_factor, _propagate, _resolvent
+from .scheme import build_scheme_law
 from .specfun import SeriesControl, gamma
 
 _QUANTITIES = ("mean_X", "var_X", "cov_X", "cubic_L")
@@ -424,7 +425,7 @@ def mc_weak_error(
     ratio = n_fine // n_coarse
     grid_f = TimeGrid(n_fine, p.T)
     grid_c = TimeGrid(n_coarse, p.T)
-    chol = _driver_factor(p, grid_f)
+    factor = _driver_factor(p, grid_f)
     fine = _resolvent(grid_f, p)
     coarse = _resolvent(grid_c, p)
     dt_f, dt_c = grid_f.dt, grid_c.dt
@@ -434,9 +435,7 @@ def mc_weak_error(
     phi_f = np.empty(paths)
     for lo, hi, rng in _blocks(seed, paths, block_size):
         bs = hi - lo
-        driver = rng.standard_normal((bs, 2 * n_fine)) @ chol.T
-        dW_f = driver[:, :n_fine]
-        G_f = driver[:, n_fine:]
+        dW_f, G_f = _driver_draws(rng, factor, bs)
         perp_f = math.sqrt(dt_f) * rng.standard_normal((bs, n_fine))
         dB_f = rho * dW_f + rho_perp * perp_f
         dW_c = dW_f.reshape(bs, n_coarse, ratio).sum(axis=2)

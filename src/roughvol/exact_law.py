@@ -452,6 +452,8 @@ def _blocks(seed: int, count: int, block_size: int = _BLOCK_SIZE):
     function of (seed, count, block_size) -- independent of how many workers
     consume the blocks.  Every sampler in the package draws through this.
     """
+    if not block_size >= 1:
+        raise ValidationError(f"block_size must be >= 1, got {block_size}")
     n_blocks = (count + block_size - 1) // block_size
     for blk, child in enumerate(np.random.SeedSequence(seed).spawn(n_blocks)):
         lo = blk * block_size

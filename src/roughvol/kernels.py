@@ -7,15 +7,19 @@ on a uniform grid t_k = k*T/n:
                       = dt^alpha * ((k-i)^alpha - (k-i-1)^alpha) / Gamma(alpha+1)
 * ``cross_kernel_integral(a, b, c)`` = int_0^c (a-s)^(alpha-1) (b-s)^(alpha-1) ds,
   closed form via 2F1 when c = min(a, b), Gauss-Legendre panels otherwise
+* ``cross_kernel_table(grid, alpha, omega)`` = the grid table of those
+  integrals (omega = e_0) or of omega-weighted kernel sums, per-cell Gauss rules
 * ``beta_convolution`` = int_s^t (u-s)^(alpha-1)/Gamma(alpha) *
   (t-u)^(beta-1)/Gamma(beta) du = (t-s)^(alpha+beta-1)/Gamma(alpha+beta)
 
-plus the quadrature helpers (Gauss-Jacobi / Gauss-Legendre rules, graded
-panel splits) shared by the law/moment modules.
+plus the quadrature helpers (Gauss-Jacobi / Gauss-Legendre rules from one
+cache of reference rules, graded panel splits) shared by the law/moment
+modules.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -24,7 +28,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import roots_jacobi, roots_legendre
 
 from .errors import ValidationError
-from .specfun import gamma, hyp2f1, hyp2f1_b1
+from .specfun import gamma, hyp2f1
 
 __all__ = [
     "TimeGrid",
@@ -38,6 +42,8 @@ __all__ = [
     "legendre_rule",
     "graded_panels",
 ]
+
+_CELL_NODES = 16  # per Gauss rule and cell in cross_kernel_table
 
 
 @dataclass(frozen=True)
@@ -144,7 +150,7 @@ def cross_kernel_integral(a: float, b: float, c: float, alpha: float) -> float:
         return m**alpha * M ** (alpha - 1.0) / alpha * hyp2f1(1.0 - alpha, 1.0, alpha + 1.0, z)
     # fallback: smooth integrand; panels graded toward the near-singular end
     breaks = graded_panels(0.0, c, n_levels=10, toward="hi")
-    x, w = roots_legendre(48)
+    x, w = _reference_rule(48)
     total = 0.0
     for lo, hi in breaks:
         mid = 0.5 * (lo + hi)
@@ -156,28 +162,40 @@ def cross_kernel_integral(a: float, b: float, c: float, alpha: float) -> float:
     return total
 
 
-def cross_kernel_table(grid: TimeGrid, alpha: float) -> np.ndarray:
-    """Symmetric table K[i, j] = int_0^min(t_i,t_j) (t_i-s)^(a-1)(t_j-s)^(a-1) ds.
+def cross_kernel_table(grid: TimeGrid, alpha: float, omega=None) -> np.ndarray:
+    """Symmetric table K[j, k] = int_0^T g_j(s) g_k(s) ds, g_k(s) =
+    sum_{1<=i<=k} omega_{k-i} (t_i - s)_+^(alpha-1); row/column 0 is zero.
 
-    Indices 1..n are meaningful; row/column 0 is zero.  Built in one
-    vectorised sweep: K = dt^(2a-1) * m^a M^(a-1)/a * 2F1(1-a,1;a+1; m/M)
-    in index units with m = min(i,j), M = max(i,j).
+    omega=None (e_0) gives int_0^min(t_j,t_k) (t_j-s)^(a-1)(t_k-s)^(a-1) ds;
+    the scheme resolvent gives the scheme's Malliavin Gram table.  On cell
+    l, s = t_l + u dt, g_k(s) = dt^(a-1) g_{k-l}(u), so K[j, k] =
+    K[j-1, k-1] + dt^(2a-1) H[j, k] with H[p, q] = int_0^1 g_p g_q du.  g_p
+    is the spike omega_{p-1} (1-u)^(a-1) plus r_p, analytic out to u = 2:
+    spike^2 is exact, spike x r_p a Gauss-Jacobi rule, r_p^2 Gauss-Legendre,
+    16 nodes each (error ~ (3+2 sqrt 2)^-32).  The upper half is summed and
+    mirrored, so K is exactly symmetric.
     """
     alpha = _check_alpha(alpha)
     n = grid.n
-    idx = np.arange(n + 1, dtype=float)
-    ii = idx[:, None]
-    jj = idx[None, :]
-    m = np.minimum(ii, jj)
-    M = np.maximum(ii, jj)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        z = np.where(M > 0, m / np.where(M > 0, M, 1.0), 0.0)
-    F = hyp2f1_b1(1.0 - alpha, alpha + 1.0, z)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        K = m**alpha * M ** (alpha - 1.0) / alpha * F
-    K[0, :] = 0.0
-    K[:, 0] = 0.0
-    return grid.dt ** (2.0 * alpha - 1.0) * K
+    spike = np.eye(1, n)[0] if omega is None else np.asarray(omega, dtype=float)[:n]
+    uj, wj = jacobi_rule(_CELL_NODES, alpha - 1.0, 0.0, 0.0, 1.0)
+    ul, wl = legendre_rule(_CELL_NODES, 0.0, 1.0)
+    # r[p-1] = r_p = sum_{m=2..p} omega_{p-m} (m-u)^(a-1) at the Jacobi,
+    # then the Legendre nodes; m = 1 is the spike
+    F = (np.arange(1.0, n + 1.0)[:, None] - np.concatenate((uj, ul))) ** (alpha - 1.0)
+    F[0] = 0.0
+    r = toeplitz_upper(spike).T @ F
+    rl = r[:, _CELL_NODES:]
+    jac = r[:, :_CELL_NODES] @ wj
+    # H = spike spike^T/(2a-1) + spike jac^T + jac spike^T + rl diag(wl) rl^T
+    left = np.column_stack((rl * wl, spike / (2.0 * alpha - 1.0) + jac, spike))
+    right = np.column_stack((rl, spike, jac))
+    K = np.zeros((n + 1, n + 1))
+    K[1:, 1:] = (grid.dt ** (2.0 * alpha - 1.0) * left) @ right.T
+    for j in range(1, n + 1):
+        K[j, j:] += K[j - 1, j - 1 : n]
+        K[j + 1 :, j] = K[j, j + 1 :]
+    return K
 
 
 def beta_convolution(s: float, t: float, alpha: float, beta: float) -> float:
@@ -198,6 +216,16 @@ def beta_convolution(s: float, t: float, alpha: float, beta: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=256)
+def _reference_rule(npts: int, exps=None):
+    """Cached read-only Gauss rule on [-1, 1]: Legendre, or Jacobi with
+    weight (1-x)^exps[0] (1+x)^exps[1]."""
+    x, w = roots_legendre(npts) if exps is None else roots_jacobi(npts, *exps)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
 def jacobi_rule(npts: int, exp_hi: float, exp_lo: float, lo: float, hi: float):
     """Nodes/weights so that sum w_i f(x_i) ~= int_lo^hi (hi-x)^exp_hi (x-lo)^exp_lo f(x) dx.
 
@@ -205,7 +233,7 @@ def jacobi_rule(npts: int, exp_hi: float, exp_lo: float, lo: float, hi: float):
     """
     if min(exp_hi, exp_lo) <= -1.0:
         raise ValidationError("jacobi_rule: exponents must be > -1")
-    x, w = roots_jacobi(npts, exp_hi, exp_lo)
+    x, w = _reference_rule(npts, (exp_hi, exp_lo))
     half = 0.5 * (hi - lo)
     nodes = lo + half * (x + 1.0)
     weights = w * half ** (exp_hi + exp_lo + 1.0)
@@ -214,7 +242,7 @@ def jacobi_rule(npts: int, exp_hi: float, exp_lo: float, lo: float, hi: float):
 
 def legendre_rule(npts: int, lo: float, hi: float):
     """Plain Gauss-Legendre nodes/weights on [lo, hi]."""
-    x, w = roots_legendre(npts)
+    x, w = _reference_rule(npts)
     half = 0.5 * (hi - lo)
     return lo + half * (x + 1.0), half * w
 

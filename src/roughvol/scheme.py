@@ -16,11 +16,12 @@ of E_{a,a} in the exact law):
     mean:  mc    = x0 + (k1 + k2 x0) cumsum(omega * d)
     D_s Xc_{t_k} = (sigma/Gamma(a)) sum_{i<=k} w_{i,k} (t_i - s)_+^(a-1),
                    w_{i,k} = omega_{k-i}
-    cov          = (sigma/Gamma(a))^2 w^T K w  with K the kernel cross table
+    cov          = (sigma/Gamma(a))^2 int_0^T D_s Xc_{t_j} D_s Xc_{t_k} ds
     paths        Xc = mc + sigma G w,  one GEMM per block of paths.
 
-The resolvent is O(n^2) and the covariance two GEMMs; the law is capped at
-n <= 4096 and path sampling at n <= 2048.
+On cell l, D_s Xc_{t_k} depends on k - l alone, so cov is a diagonal
+cumulative sum of one per-cell Gram matrix (``cross_kernel_table``).  Both
+are O(n^2); the law is capped at n <= 4096 and path sampling at n <= 2048.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import numpy as np
 
 from .errors import ConvergenceError, ValidationError
 from .exact_law import _BLOCK_SIZE, GaussianLaw, ModelParams, _blocks, _cholesky_psd, driver_law
-from .kernels import TimeGrid, c_matrix, c_weight_diffs, cross_kernel_table, toeplitz_upper
+from .kernels import TimeGrid, c_weight_diffs, cross_kernel_table, toeplitz_upper
 from .specfun import gamma
 
 __all__ = [
@@ -143,14 +144,13 @@ class FunctionSpec:
 class SchemeLaw:
     """Deterministic description of the scheme's Gaussian X-check law.
 
-    c and w are (n+1) x (n+1) with c[i, k] the kernel cell weight (i < k) and
-    w[i, k] the Malliavin weights (unit diagonal, zero below); mean[k] and
-    cov[j, k] cover grid indices 0..n (index 0 is the deterministic x0).
+    w is (n+1) x (n+1) with w[i, k] the Malliavin weights (unit diagonal,
+    zero below); mean[k] and cov[j, k] cover grid indices 0..n (index 0 is
+    the deterministic x0).
     """
 
     params: ModelParams
     grid: TimeGrid
-    c: np.ndarray
     w: np.ndarray
     mean: np.ndarray
     cov: np.ndarray
@@ -186,9 +186,9 @@ def _resolvent(grid: TimeGrid, p: ModelParams):
 def build_scheme_law(grid: TimeGrid, p: ModelParams) -> SchemeLaw:
     """Mean, Malliavin weight table, and full covariance of the scheme.
 
-    The weights are the resolvent omega (O(n^2)) and the covariance costs two
-    GEMMs; n is capped at 4096 and the kernel tables are evaluated at fixed
-    1e-13 relative accuracy.
+    The weights are the resolvent omega and the covariance is (sigma/Gamma(a))^2
+    times the cell-quadrature table ``cross_kernel_table(grid, a, omega)``;
+    both are O(n^2) and n is capped at 4096.
     """
     n = grid.n
     if n > _MAX_N:
@@ -201,15 +201,11 @@ def build_scheme_law(grid: TimeGrid, p: ModelParams) -> SchemeLaw:
     omega, mean = _resolvent(grid, p)
     w = toeplitz_upper(omega)
     w[0, 1:] = 0.0  # Xc_0 = x0 is deterministic: index 0 carries no weight
-
-    K = cross_kernel_table(grid, a)[1:, 1:]
-    A = w[1:, 1:]
-    core = (p.sigma / gamma(a)) ** 2 * (A.T @ (K @ A))
-    cov = np.zeros((n + 1, n + 1))
-    cov[1:, 1:] = 0.5 * (core + core.T)  # exact symmetry despite dgemm roundoff
+    cov = cross_kernel_table(grid, a, omega)
+    cov *= (p.sigma / gamma(a)) ** 2
     if np.any(np.diag(cov) < -1e-10 * max(float(np.abs(cov).max()), 1.0)):
         raise ConvergenceError("build_scheme_law: negative variance in assembly")
-    return SchemeLaw(params=p, grid=grid, c=c_matrix(grid, a), w=w, mean=mean, cov=cov)
+    return SchemeLaw(params=p, grid=grid, w=w, mean=mean, cov=cov)
 
 
 def malliavin_scheme(s: float, k: int, law: SchemeLaw) -> float:
@@ -252,14 +248,24 @@ def cell_integrated_malliavin(law: SchemeLaw) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def _driver_factor(p: ModelParams, grid: TimeGrid) -> np.ndarray:
-    """Cholesky factor of the (dW, G) driver law, cached per (params, grid).
+def _driver_factor(p: ModelParams, grid: TimeGrid):
+    """(diag L[:n, :n], L[n:]) of the driver law's Cholesky factor L, cached.
 
-    The law is 2n x 2n, so n is capped before it is built.
+    The dW block of the law is dt I, so the dW rows of L are diagonal.  The
+    law is 2n x 2n, so n is capped before it is built.
     """
-    if grid.n > _MAX_SAMPLE_N:
-        raise ValidationError(f"path sampling: n <= {_MAX_SAMPLE_N}, got {grid.n}")
-    return _cholesky_psd(driver_law(p, grid).cov)
+    n = grid.n
+    if n > _MAX_SAMPLE_N:
+        raise ValidationError(f"path sampling: n <= {_MAX_SAMPLE_N}, got {n}")
+    L = _cholesky_psd(driver_law(p, grid).cov)
+    return np.diag(L)[:n].copy(), L[n:].copy()
+
+
+def _driver_draws(rng: np.random.Generator, factor, count: int):
+    """(dW, G), each (count, n): z @ L.T for one block of standard normals z."""
+    scale, g_rows = factor
+    z = rng.standard_normal((count, g_rows.shape[1]))
+    return z[:, : len(scale)] * scale, z @ g_rows.T
 
 
 def _propagate(p, omega, mean, dt, G, dB, b, f, full=False):
@@ -319,7 +325,7 @@ def sample_scheme_paths(
     if keep not in ("full", "terminal"):
         raise ValidationError(f"sample_scheme_paths: keep must be full|terminal, got {keep!r}")
     n = grid.n
-    chol = _driver_factor(p, grid)
+    factor = _driver_factor(p, grid)
     omega, mean = _resolvent(grid, p)
     dt = grid.dt
     rho = p.rho
@@ -330,10 +336,10 @@ def sample_scheme_paths(
     L_out = np.empty(shape)
     for lo, hi, rng in _blocks(seed, count, block_size):
         bs = hi - lo
-        driver = rng.standard_normal((bs, 2 * n)) @ chol.T
+        dW, G = _driver_draws(rng, factor, bs)
         perp = rng.standard_normal((bs, n))
-        dB = rho * driver[:, :n] + rho_perp * math.sqrt(dt) * perp
-        X, L = _propagate(p, omega, mean, dt, driver[:, n:], dB, b, f, full)
+        dB = rho * dW + rho_perp * math.sqrt(dt) * perp
+        X, L = _propagate(p, omega, mean, dt, G, dB, b, f, full)
         X_out[lo:hi] = X if full else X[:, n]
         L_out[lo:hi] = L
     return X_out, L_out

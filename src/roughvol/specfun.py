@@ -545,7 +545,7 @@ def hyp2f1_b1(a: float, c: float, z: np.ndarray, rel_tol: float = 1e-13) -> np.n
     recurrence serves every z at once (Horner over the shared coefficient
     list for z <= 0.9; the same two-series z -> 1-z transformation for
     0.9 < z < 1; Gauss value at z = 1).  This is the bulk path behind the
-    kernel cross tables; scalar `hyp2f1` is its cross-check.
+    exact covariance series; scalar `hyp2f1` is its cross-check.
     """
     a = float(a)
     c = float(c)

@@ -292,6 +292,9 @@ def test_mc_validation(params):
     phi = FunctionSpec("polynomial", (0.0, 1.0), role="test")
     with pytest.raises(ValidationError):
         mc_weak_error(phi, B_ZERO, F_ID, params, 16, 64, 0, 1)
+    for block_size in (0, -5):
+        with pytest.raises(ValidationError):
+            mc_weak_error(phi, B_ZERO, F_ID, params, 16, 64, 100, 1, block_size=block_size)
     with pytest.raises(ValidationError):
         mc_weak_error(phi, B_ZERO, F_ID, params, 16, 64, 1, 1)
     with pytest.raises(ValidationError):

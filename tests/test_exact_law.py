@@ -345,6 +345,9 @@ def test_sample_validation(params):
     law = grid_law_exact(params, TimeGrid(2, params.T))
     with pytest.raises(ValidationError):
         sample(law, 0, seed=1)
+    for block_size in (0, -5):
+        with pytest.raises(ValidationError):
+            sample(law, 10, seed=1, block_size=block_size)
 
 
 def test_gaussian_law_validation():

@@ -9,6 +9,7 @@ from scipy.special import roots_jacobi
 
 from roughvol import TimeGrid, ValidationError, beta_convolution, c_matrix, c_weight, cross_kernel_integral
 from roughvol.kernels import (
+    _reference_rule,
     c_weight_diffs,
     cross_kernel_table,
     graded_panels,
@@ -183,6 +184,22 @@ def test_cross_kernel_table_consistency():
             assert K[i, j] == pytest.approx(ref, rel=1e-10), (i, j)
 
 
+@pytest.mark.parametrize("alpha,pair", [(0.75, (450, 500)), (0.6, (387, 430))])
+def test_cross_kernel_table_against_mpmath(alpha, pair):
+    # K[i, j] = dt^(2a-1) m^a M^(a-1)/a 2F1(1-a, 1; a+1; m/M) in index units;
+    # the named pairs sit at z = m/M = 0.9, plus random off-diagonal entries
+    n = 512
+    K = cross_kernel_table(TimeGrid(n, 1.0), alpha)
+    rng = np.random.default_rng(11)
+    pairs = [pair] + [tuple(sorted(rng.choice(np.arange(1, n + 1), 2, replace=False))) for _ in range(12)]
+    with mp.workdps(30):
+        a = mp.mpf(alpha)
+        for i, j in pairs:
+            m, M = mp.mpf(int(i)), mp.mpf(int(j))
+            ref = mp.mpf(n) ** (1 - 2 * a) * m**a * M ** (a - 1) / a * mp.hyp2f1(1 - a, 1, a + 1, m / M)
+            assert K[i, j] == pytest.approx(float(ref), rel=1e-14, abs=0.0), (i, j)
+
+
 # ------------------------------------------------------- beta convolution ----
 
 
@@ -234,6 +251,17 @@ def test_jacobi_rule_moments():
 def test_jacobi_rule_validation():
     with pytest.raises(ValidationError):
         jacobi_rule(8, -1.0, 0.0, 0.0, 1.0)
+
+
+def test_cached_reference_rules_are_read_only():
+    for x, w in (_reference_rule(8), _reference_rule(8, (-0.25, 0.0))):
+        for arr in (x, w):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+    # the per-call affine map still hands out fresh, writable arrays
+    nodes, weights = legendre_rule(8, 0.0, 1.0)
+    nodes[0] = weights[0] = 0.0
+    assert legendre_rule(8, 0.0, 1.0)[0][0] > 0.0
 
 
 def test_legendre_rule_polynomial_exactness():

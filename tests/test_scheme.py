@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,8 +19,9 @@ from roughvol import (
     malliavin_scheme,
     sample_scheme_paths,
 )
+from roughvol.exact_law import _cholesky_psd, driver_law
 from roughvol.kernels import c_matrix, graded_panels, legendre_rule
-from roughvol.scheme import _propagate, _resolvent
+from roughvol.scheme import _driver_draws, _driver_factor, _propagate, _resolvent
 
 
 # ----------------------------------------------------------- FunctionSpec ----
@@ -70,9 +72,12 @@ def test_spec_affine_pair_and_poly_guards():
 
 def naive_centered_cov(p, grid):
     """Cov of the centered scheme by plain linear algebra: the recursion
-    Y_k = kappa2 sum_{i<k} c_ik Y_i + sigma G_k inverts to (I-M)^-1 sigma G."""
-    from roughvol.exact_law import driver_law
+    Y_k = kappa2 sum_{i<k} c_ik Y_i + sigma G_k inverts to (I-M)^-1 sigma G.
 
+    Cov(G_j, G_k) is the closed form of ``cross_kernel_integral`` evaluated
+    in mpmath: the float 2F1 behind the scalar stops its series at a 1e-12
+    term and so carries ~1e-11 errors, which cancellation at alpha -> 1/2
+    lifts past this test's 1e-10."""
     n = grid.n
     c = c_matrix(grid, p.alpha)
     M = np.zeros((n, n))
@@ -80,15 +85,27 @@ def naive_centered_cov(p, grid):
         for i in range(1, k):
             M[k - 1, i - 1] = p.kappa2 * c[i, k]
     S = np.linalg.inv(np.eye(n) - M)
-    gcov = driver_law(p, grid).cov[n:, n:]
+    gcov = np.empty((n, n))
+    with mp.workdps(20):
+        a = mp.mpf(p.alpha)
+        scale = (mp.mpf(grid.dt) ** (a - 0.5) / mp.gamma(a)) ** 2
+        for j in range(1, n + 1):
+            gcov[j - 1, j - 1] = scale * mp.mpf(j) ** (2 * a - 1) / (2 * a - 1)
+            for k in range(j + 1, n + 1):
+                F = mp.hyp2f1(1 - a, 1, a + 1, mp.mpf(j) / k)
+                gcov[j - 1, k - 1] = gcov[k - 1, j - 1] = (
+                    scale * mp.mpf(j) ** a * mp.mpf(k) ** (a - 1) / a * F
+                )
     return p.sigma**2 * S @ gcov @ S.T, S
 
 
+@pytest.mark.parametrize("alpha", [0.51, 0.75, 0.999, 1.0])
 @pytest.mark.parametrize("n", [6, 64])
-def test_scheme_law_against_naive_linear_algebra(params, n):
-    g = TimeGrid(n, params.T)
-    law = build_scheme_law(g, params)
-    ref_cov, S = naive_centered_cov(params, g)
+def test_scheme_law_against_naive_linear_algebra(params, n, alpha):
+    p = dataclasses.replace(params, alpha=alpha)
+    g = TimeGrid(n, p.T)
+    law = build_scheme_law(g, p)
+    ref_cov, S = naive_centered_cov(p, g)
     np.testing.assert_allclose(law.cov[1:, 1:], ref_cov, rtol=1e-10, atol=1e-14)
     # the Malliavin weight table is exactly the transposed resolvent
     np.testing.assert_allclose(law.w[1:, 1:].T, S, rtol=1e-12, atol=1e-14)
@@ -260,10 +277,25 @@ def test_sampling_validation_and_overflow(params):
         sample_scheme_paths(g, params, b, f, 10, 1, keep="last")
     with pytest.raises(ValidationError):
         sample_scheme_paths(TimeGrid(2049, params.T), params, b, f, 10, 1)
+    for block_size in (0, -5):
+        with pytest.raises(ValidationError):
+            sample_scheme_paths(g, params, b, f, 10, 1, block_size=block_size)
     blow_up = FunctionSpec("exponential-affine", (1.0, 900.0), role="diffusion")
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ConvergenceError):
             sample_scheme_paths(g, params, b, blow_up, 50, 1)
+
+
+def test_driver_draws_match_full_factor(params):
+    # the dW rows of the driver factor are diagonal, so drawing only the G
+    # rows by GEMM must reproduce z @ L.T from the same stream
+    n, count = 64, 200
+    g = TimeGrid(n, params.T)
+    L = _cholesky_psd(driver_law(params, g).cov)
+    ref = np.random.default_rng(5).standard_normal((count, 2 * n)) @ L.T
+    dW, G = _driver_draws(np.random.default_rng(5), _driver_factor(params, g), count)
+    np.testing.assert_allclose(dW, ref[:, :n], rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(G, ref[:, n:], rtol=0.0, atol=1e-15)
 
 
 @pytest.mark.parametrize("full", [True, False])
