@@ -201,9 +201,9 @@ def weak_error_curve(
     if quantity == "mean_X":
         ref = mean_exact(p, T, ctl)
     elif quantity == "var_X":
-        ref = cov_exact(p, T, T, ctl)
+        ref = cov_exact(p, T, T)
     elif quantity == "cov_X":
-        ref = cov_exact(p, 0.5 * T, T, ctl)
+        ref = cov_exact(p, 0.5 * T, T)
     else:
         ref = cubic_exact(p, f_id)
     errors = []

@@ -5,13 +5,12 @@ The state process solves the linear Volterra equation
     X_t = x0 + int_0^t (t-s)^(a-1)/Gamma(a) * (k1 + k2 X_s) ds
              + sigma int_0^t (t-s)^(a-1)/Gamma(a) dW_s,        a in (1/2, 1],
 
-and is Gaussian with everything in closed (series) form:
+and is Gaussian with its law in Mittag-Leffler form:
 
 * mean      m(t)   = x0 E_a(k2 t^a) + (k1/k2)(E_a(k2 t^a) - 1)
-* kernel    D_s X_t = sigma (t-s)^(a-1) E_{a,a}(k2 (t-s)^a)     (s < t)
-* cov       C(t,T) = sigma^2 sum_{i1,i2>=1} k2^(i1+i2-2)
-                     t^(i1 a) T^(i2 a - 1) / (Gamma(i1 a + 1) Gamma(i2 a))
-                     * 2F1(1 - i2 a, 1; i1 a + 1; t/T),   t <= T,
+* kernel    D_s X_t = sigma R(t-s),  R(u) = u^(a-1) E_{a,a}(k2 u^a)   (s < t)
+* cov       C(t,T) = sigma^2 int_0^t R(T-t+v) R(v) dv,   t <= T
+                     (the Ito isometry, by graded-panel quadrature),
 * stationary variance (k2 < 0)
             sigma^2 int_0^inf s^(2a-2) E_{a,a}(k2 s^a)^2 ds.
 
@@ -26,7 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import mpmath
 import numpy as np
 
 from .errors import ConvergenceError, ValidationError
@@ -40,11 +38,10 @@ from .kernels import (
 from .specfun import (
     ML_MAX_ABS_Z,
     SeriesControl,
-    _hyp2f1_mp,
     _mittag_leffler_asymptotic,
     gamma,
-    hyp2f1_b1,
     mittag_leffler,
+    rgamma,
 )
 
 __all__ = [
@@ -59,12 +56,19 @@ __all__ = [
     "sample",
 ]
 
-_EPS = 2.220446049250313e-16
 _KAPPA2_ZERO = 1e-12  # |kappa2| below this is treated as exactly zero
 
-# grid_law_exact builds n(n+1)/2 covariance entries, each a double series;
+# grid_law_exact builds n(n+1)/2 covariance entries, each a quadrature;
 # past this n the cost is better served by SchemeLaw-style tables.
 _GRID_LAW_MAX_N = 1024
+
+_ML_HORNER_TERMS = 48  # E_{a,b} series terms on |v| <= 1 in _ml_entire_array
+
+# _cov_pairs quadrature: Gauss nodes per panel, panel levels below
+# v = min(s, h) for an off-diagonal pair, nodes per batch
+_COV_NODES = 10
+_COV_EXTRA_LEVELS = 16
+_COV_BATCH = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -170,22 +174,23 @@ def malliavin_exact(params: ModelParams, s: float, t: float) -> float:
 def _ml_entire_array(alpha: float, beta: float, v: np.ndarray) -> np.ndarray:
     """E_{alpha,beta}(v) over an array, exploiting that it is entire in v.
 
-    Horner over ~48 reciprocal-Gamma coefficients when |v| <= 5 (no
-    cancellation there); larger arguments fall back to the guarded scalar
-    evaluator elementwise.
+    Horner where |v| <= 1 over the first 48 reciprocal-Gamma coefficients,
+    less the terms that stay below 1e-17 of the first (truncation and
+    cancellation both stay below ~1e-15 there for every alpha > 1/2); the
+    guarded scalar evaluator elementwise beyond.
     """
     v = np.asarray(v, dtype=float)
-    vmax = float(np.abs(v).max()) if v.size else 0.0
-    if vmax <= 5.0:
-        ncoef = 48
-        coef = [1.0 / gamma(alpha * i + beta) for i in range(ncoef)]
-        E = np.zeros_like(v)
-        for ci in coef[::-1]:
-            E = E * v + ci
-        return E
-    return np.array(
-        [mittag_leffler(alpha, beta, float(vi)) for vi in v.ravel()]
-    ).reshape(v.shape)
+    far = np.abs(v) > 1.0
+    vmax = float(np.abs(v[~far]).max(initial=0.0))
+    coef = rgamma(alpha * np.arange(_ML_HORNER_TERMS) + beta)
+    coef = coef[coef * vmax ** np.arange(_ML_HORNER_TERMS) >= 1e-17 * coef[0]]
+    E = np.zeros_like(v)
+    for c in coef[::-1]:
+        E *= v
+        E += c
+    if np.any(far):
+        E[far] = [mittag_leffler(alpha, beta, float(vi)) for vi in v[far]]
+    return E
 
 
 def _malliavin_kernel_array(params: ModelParams, u: np.ndarray) -> np.ndarray:
@@ -210,118 +215,68 @@ def _mean_many(params: ModelParams, t: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _cov_pairs(params, t_small, t_big, rel_tol=1e-12, max_diag=400):
-    """Vectorised covariance series over pair arrays with t_small <= t_big.
+def _cov_rule(alpha: float, depth: int, diagonal: bool):
+    """Nodes v = s f and weights c of the Cov(X_s, X_{s+h}) quadrature.
 
-    Returns the array of Cov(X_t, X_T) values.  Pairs whose float64
-    summation turned out cancellation-limited are redone in mpmath.
+    Cov = sigma^2 s^a sum_i c_i (h + v_i)^(a-1) E(k2 v_i^a) E(k2 (h + v_i)^a)
+    with E = E_{a,a}.  Gauss-Legendre rules sit on the panels
+    [s 2^-(k+1), s 2^-k], k < depth, and on the end panel [0, s 2^-depth]
+    in y = v^a, where R(v) dv = E(k2 y) dy / a.  For h = 0 the end panel
+    has weight y^(1-1/a) times the entire E(k2 y)^2: a Gauss-Jacobi rule.
+    """
+    x, w = legendre_rule(_COV_NODES, 0.0, 1.0)
+    lo = 2.0 ** -np.arange(1.0, depth + 1.0)[:, None]
+    f = lo * (1.0 + x)
+    c = lo * w * f ** (alpha - 1.0)
+    if diagonal:
+        x, w = jacobi_rule(_COV_NODES, 0.0, 1.0 - 1.0 / alpha, 0.0, 1.0)
+        w = w * x ** (1.0 / alpha - 1.0)
+    f = np.append(f, 2.0**-depth * x ** (1.0 / alpha))
+    c = np.append(c, 2.0 ** (-depth * alpha) * w / alpha)
+    return f, c
+
+
+def _cov_pairs(params, t_small, t_big):
+    """Cov(X_s, X_t) over pair arrays s = t_small <= t = t_big.
+
+    Ito isometry: sigma^2 int_0^s R(h + v) R(v) dv with h = t - s and the
+    resolvent kernel R(u) = u^(a-1) E_{a,a}(k2 u^a).  R(v) is singular at
+    v = 0 and R(h + v) varies on the scale h, so for h > 0 the geometric
+    panels of `_cov_rule` reach _COV_EXTRA_LEVELS levels below min(s, h);
+    for h = 0 they go down until |k2| v^a <= 1 on the end panel.  On a
+    panel [b, 2b] the integrand is analytic within distance b, so 10 Gauss
+    nodes are exact to ~(3 + 2 sqrt 2)^-20 = 5e-16.  Pairs are grouped by
+    depth and evaluated in batches of about _COV_BATCH nodes, which bounds
+    the working memory.
     """
     a = params.alpha
     k2 = params.kappa2
-    t_small = np.asarray(t_small, dtype=float)
-    t_big = np.asarray(t_big, dtype=float)
-    total = np.zeros_like(t_small)
-    live = t_small > 0.0
-    if not np.any(live):
-        return total
-    ts = t_small[live]
-    tb = t_big[live]
-    z = ts / tb
-    ln_ts = np.log(ts)
-    ln_tb = np.log(tb)
-    acc = np.zeros_like(ts)
-    peak = np.zeros_like(ts)
-    if params.kappa2_is_zero:
-        F = hyp2f1_b1(1.0 - a, a + 1.0, z)
-        acc = ts**a * tb ** (a - 1.0) / (gamma(a + 1.0) * gamma(a)) * F
-        total[live] = params.sigma**2 * acc
-        return total
-    quiet = 0
-    nterms = 0
-    for d in range(2, max_diag + 1):
-        diag = np.zeros_like(ts)
-        for i1 in range(1, d):
-            i2 = d - i1
-            lg = (
-                (d - 2) * math.log(abs(k2))
-                - math.lgamma(i1 * a + 1.0)
-                - math.lgamma(i2 * a)
-            )
-            # fully log-space magnitudes: t^(i1 a) alone overflows long
-            # before the Gamma denominators bring the term back down
-            logmag = lg + i1 * a * ln_ts + (i2 * a - 1.0) * ln_tb
-            if float(logmag.max()) < -760.0:
-                continue
-            F = hyp2f1_b1(1.0 - i2 * a, i1 * a + 1.0, z)
-            sign = 1.0 if k2 > 0 or (d - 2) % 2 == 0 else -1.0
-            term = sign * np.exp(np.maximum(logmag, -745.0)) * F
-            term[logmag < -745.0] = 0.0
-            diag += term
-            np.maximum(peak, np.abs(term), out=peak)
-            nterms += 1
-        acc += diag
-        rel = np.abs(diag) / np.maximum(np.abs(acc), 1e-300)
-        if float(rel.max()) <= rel_tol:
-            quiet += 1
-            if quiet >= 2:
-                break
-        else:
-            quiet = 0
-    else:
-        raise ConvergenceError("cov series: diagonal cap reached before settling")
-    vals = params.sigma**2 * acc
-    # cancellation-polluted pairs -> extended-precision redo
-    bad = peak * _EPS * max(nterms, 1) > rel_tol * np.maximum(np.abs(acc), 1e-300)
-    if np.any(bad):
-        idx = np.nonzero(bad)[0]
-        for j in idx:
-            vals[j] = _cov_exact_mp(params, float(ts[j]), float(tb[j]), rel_tol)
-    total[live] = vals
-    return total
+    s = np.asarray(t_small, dtype=float)
+    h = np.asarray(t_big, dtype=float) - s
+    out = np.zeros_like(s)
+    live = s > 0.0
+    diag = live & (h == 0.0)
+    off = live & (h > 0.0)
+    depth = np.zeros(s.shape, dtype=int)
+    depth[diag] = np.ceil(np.log2(np.maximum(abs(k2) * s[diag] ** a, 1.0)) / a)
+    depth[off] = np.maximum(np.ceil(np.log2(s[off] / h[off])), 0.0) + _COV_EXTRA_LEVELS
+    for diagonal, group in ((True, diag), (False, off)):
+        for d in np.unique(depth[group]):
+            f, c = _cov_rule(a, int(d), diagonal)
+            idx = np.nonzero(group & (depth == d))[0]
+            step = max(1, _COV_BATCH // f.size)
+            for lo in range(0, idx.size, step):
+                j = idx[lo : lo + step]
+                v = s[j, None] * f
+                u = h[j, None] + v
+                E = _ml_entire_array(a, a, k2 * np.concatenate((v**a, u**a)))
+                terms = c * u ** (a - 1.0) * E[: j.size] * E[j.size :]
+                out[j] = s[j] ** a * np.sum(terms, axis=1)
+    return params.sigma**2 * out
 
 
-def _cov_exact_mp(params, t, T2, rel_tol):
-    """Extended-precision covariance series for cancellation-heavy scales."""
-    a = params.alpha
-    k2 = params.kappa2
-    # peak term magnitude estimate drives the working precision
-    zscale = abs(k2) * max(T2, 1.0) ** a
-    peak_log10 = max(2.0 * zscale ** (1.0 / a) / math.log(10.0), 10.0)
-    dps = int(peak_log10) + 35
-    with mpmath.workdps(dps):
-        mt = mpmath.mpf(t)
-        mT = mpmath.mpf(T2)
-        mk2 = mpmath.mpf(k2)
-        ma = mpmath.mpf(a)
-        z = mt / mT
-        acc = mpmath.mpf(0)
-        quiet = 0
-        for d in range(2, 2000):
-            diag = mpmath.mpf(0)
-            for i1 in range(1, d):
-                i2 = d - i1
-                term = (
-                    mk2 ** (d - 2)
-                    * mt ** (i1 * ma)
-                    * mT ** (i2 * ma - 1)
-                    / (mpmath.gamma(i1 * ma + 1) * mpmath.gamma(i2 * ma))
-                    * _hyp2f1_mp(1 - i2 * ma, mpmath.mpf(1), i1 * ma + 1, z)
-                )
-                diag += term
-            acc += diag
-            if abs(diag) <= mpmath.mpf(rel_tol) / 10 * max(abs(acc), mpmath.mpf("1e-300")):
-                quiet += 1
-                if quiet >= 2:
-                    return float(mpmath.mpf(params.sigma) ** 2 * acc)
-            else:
-                quiet = 0
-    raise ConvergenceError("cov series (mp): diagonal cap reached before settling")
-
-
-def cov_exact(
-    params: ModelParams, t1: float, t2: float, ctl: SeriesControl | None = None
-) -> float:
-    """Cov(X_t1, X_t2) by the hypergeometric double series (symmetric in t1, t2)."""
+def cov_exact(params: ModelParams, t1: float, t2: float) -> float:
+    """Cov(X_t1, X_t2) by the Ito-isometry quadrature (symmetric in t1, t2)."""
     t1 = float(t1)
     t2 = float(t2)
     if t1 < 0.0 or t2 < 0.0:
@@ -329,11 +284,8 @@ def cov_exact(
     lo, hi = (t1, t2) if t1 <= t2 else (t2, t1)
     if lo == 0.0:
         return 0.0
-    if not params.kappa2_is_zero:
-        _check_ml_scale(params, hi)
-    rel_tol = (ctl or SeriesControl()).rel_tol
-    out = _cov_pairs(params, np.array([lo]), np.array([hi]), rel_tol=rel_tol)
-    return float(out[0])
+    _check_ml_scale(params, hi)
+    return float(_cov_pairs(params, np.array([lo]), np.array([hi]))[0])
 
 
 def stationary_variance(params: ModelParams) -> float:

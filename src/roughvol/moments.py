@@ -228,6 +228,12 @@ def gaussian_moment(poly: Mapping[tuple[int, ...], float], law: GaussianLaw) -> 
 # --------------------------------------------------------------------------
 
 
+def _panel_rule(panels, npts: int):
+    """Compound Gauss-Legendre nodes and weights over a list of panels."""
+    rules = [legendre_rule(npts, lo, hi) for lo, hi in panels]
+    return np.concatenate([x for x, _ in rules]), np.concatenate([w for _, w in rules])
+
+
 def second_moment_L(
     p: ModelParams,
     f: FunctionSpec,
@@ -243,14 +249,7 @@ def second_moment_L(
     """
     f0, f1 = f.affine_pair()
     if which == "exact":
-        panels = graded_panels(0.0, p.T, 26, toward="lo")
-        nodes, weights = [], []
-        for lo, hi in panels:
-            x, w = legendre_rule(16, lo, hi)
-            nodes.append(x)
-            weights.append(w)
-        t = np.concatenate(nodes)
-        w = np.concatenate(weights)
+        t, w = _panel_rule(graded_panels(0.0, p.T, 26, toward="lo"), 16)
         m = _mean_many(p, t)
         v = _cov_pairs(p, t, t)
         integrand = (f0 + f1 * m) ** 2 + f1**2 * v
@@ -287,21 +286,13 @@ def cubic_exact(p: ModelParams, f: FunctionSpec) -> float:
     if p.rho == 0.0 or f1 == 0.0:
         return 0.0
     a = p.alpha
-    t_parts = []
-    for lo, hi in graded_panels(0.0, p.T, 26, toward="lo"):
-        t_parts.append(legendre_rule(12, lo, hi))
-    s_all, t_all, w_all = [], [], []
-    for t_nodes, t_wts in t_parts:
-        for t, wt in zip(t_nodes, t_wts):
-            for vlo, vhi in graded_panels(0.0, t**a, 22, toward="both"):
-                v, wv = legendre_rule(10, vlo, vhi)
-                s = np.maximum(t - v ** (1.0 / a), 0.0)
-                s_all.append(s)
-                t_all.append(np.full_like(v, t))
-                w_all.append(wt * wv * _ml_entire_array(a, a, p.kappa2 * v))
-    s = np.concatenate(s_all)
-    t = np.concatenate(t_all)
-    w = np.concatenate(w_all)
+    t, wt = _panel_rule(graded_panels(0.0, p.T, 26, toward="lo"), 12)
+    # inner v-rule on [0, 1], scaled to [0, t^a] per t-node
+    x, wx = _panel_rule(graded_panels(0.0, 1.0, 22, toward="both"), 10)
+    v = np.outer(t**a, x).ravel()
+    w = np.outer(wt * t**a, wx).ravel() * _ml_entire_array(a, a, p.kappa2 * v)
+    t = np.repeat(t, x.size)
+    s = np.maximum(t - v ** (1.0 / a), 0.0)
     m_s = _mean_many(p, s)
     m_t = _mean_many(p, t)
     c_st = _cov_pairs(p, s, t)
@@ -522,15 +513,8 @@ def _word_integral_exact(word: Word, p: ModelParams, b: FunctionSpec) -> float:
     lev1, n1, levu, nu = _EXACT_BUDGET[m]
     a = p.alpha
 
-    nodes_by_dim, weights_by_dim, comp_by_dim = [], [], []
-    first_nodes, first_weights = [], []
-    for lo, hi in graded_panels(0.0, p.T, lev1, toward="both"):
-        x, w = legendre_rule(n1, lo, hi)
-        first_nodes.append(x)
-        first_weights.append(w)
-    nodes_by_dim.append(np.concatenate(first_nodes))
-    weights_by_dim.append(np.concatenate(first_weights))
-    comp_by_dim.append(np.ones_like(nodes_by_dim[0]))
+    x, w = _panel_rule(graded_panels(0.0, p.T, lev1, toward="both"), n1)
+    nodes_by_dim, weights_by_dim, comp_by_dim = [x], [w], [np.ones_like(x)]
     for d in range(2, m + 1):
         panels = graded_panels(0.0, 1.0, levu, toward="hi")
         xs, ws, comps = [], [], []

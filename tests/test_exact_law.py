@@ -183,6 +183,10 @@ def test_variance_against_independent_series(params, alpha):
     p = dataclasses.replace(params, alpha=alpha)
     for t in (0.5, 1.0):
         assert cov_exact(p, t, t) == pytest.approx(var_series(p, t), rel=5e-12)
+    if alpha == 0.75:
+        # |kappa2| t^alpha = 5.6: past the |v| <= 1 Horner switch of the
+        # array Mittag-Leffler, so the scalar evaluator serves most nodes
+        assert cov_exact(p, 10.0, 10.0) == pytest.approx(var_series(p, 10.0), rel=5e-12)
 
 
 def test_cov_symmetry_and_zero_edge(params):
@@ -204,26 +208,34 @@ def test_cov_matches_quadrature_on_random_pairs(params, rng):
 
 
 def test_cov_offdiagonal_against_mp_double_series(params):
-    # expand both Mittag-Leffler factors and integrate each power pair in mp
-    p = params
-    t1, t2 = 0.4, 1.0
-    with mp.workdps(30):
-        a = mp.mpf(p.alpha)
-        total = mp.mpf(0)
-        for i in range(24):
-            for j in range(24):
-                piece = mp.quad(
-                    lambda v: v ** (a * (i + 1) - 1)
-                    * (mp.mpf(t2) - t1 + v) ** (a * (j + 1) - 1),
-                    [0, t1],
-                )
-                total += (
-                    mp.mpf(p.kappa2) ** (i + j)
-                    / (mp.gamma(a * (i + 1)) * mp.gamma(a * (j + 1)))
-                    * piece
-                )
-        ref = float(p.sigma**2 * total)
-    assert cov_exact(p, t1, t2) == pytest.approx(ref, rel=1e-9)
+    # expand both Mittag-Leffler factors and integrate each power pair in
+    # closed form: int_0^s v^(P-1) (t-s+v)^(Q-1) dv
+    #   = s^P t^(Q-1) / P * 2F1(1-Q, 1; P+1; s/t),  P = a(i+1), Q = a(j+1)
+    cases = [
+        (params.alpha, 0.4, 1.0, 1e-9),
+        # near-diagonal pairs, where R(t-s+v) varies on the scale t-s
+        (0.55, 0.3, 0.3 + 1e-9, 1e-12),
+        (0.55, 0.7, 0.7 + 1e-12, 1e-12),
+    ]
+    for alpha, t1, t2, rel in cases:
+        p = dataclasses.replace(params, alpha=alpha)
+        with mp.workdps(40):
+            a, k2 = mp.mpf(alpha), mp.mpf(p.kappa2)
+            s, t = mp.mpf(t1), mp.mpf(t2)
+            total = mp.mpf(0)
+            for i in range(60):
+                for j in range(60 - i):
+                    P, Q = a * (i + 1), a * (j + 1)
+                    total += (
+                        k2 ** (i + j)
+                        / (mp.gamma(P) * mp.gamma(Q))
+                        * s**P
+                        * t ** (Q - 1)
+                        / P
+                        * mp.hyp2f1(1 - Q, 1, P + 1, s / t)
+                    )
+            ref = float(p.sigma**2 * total)
+        assert cov_exact(p, t1, t2) == pytest.approx(ref, rel=rel), (alpha, t1, t2)
 
 
 @settings(max_examples=25, deadline=None)
