@@ -12,7 +12,8 @@ and is Gaussian with its law in Mittag-Leffler form:
 * cov       C(t,T) = sigma^2 int_0^t R(T-t+v) R(v) dv,   t <= T
                      (the Ito isometry, by graded-panel quadrature),
 * stationary variance (k2 < 0)
-            sigma^2 int_0^inf s^(2a-2) E_{a,a}(k2 s^a)^2 ds.
+            sigma^2 int_0^inf R(s)^2 ds, in closed form through the
+            Laplace transform 1/(p^a - k2) of R (Plancherel).
 
 This module also carries the joint law of the Euler driver -- Brownian cell
 increments together with the exactly-integrated kernel Gaussians
@@ -38,7 +39,6 @@ from .kernels import (
 from .specfun import (
     ML_MAX_ABS_Z,
     SeriesControl,
-    _mittag_leffler_asymptotic,
     gamma,
     mittag_leffler,
     rgamma,
@@ -289,41 +289,26 @@ def cov_exact(params: ModelParams, t1: float, t2: float) -> float:
 
 
 def stationary_variance(params: ModelParams) -> float:
-    """Limit variance sigma^2 int_0^inf s^(2a-2) E_{a,a}(k2 s^a)^2 ds (k2 < 0).
+    """Limit variance sigma^2 int_0^inf R(s)^2 ds of X_t as t -> inf (k2 < 0).
 
-    Head [0,1] under v = s^alpha: (1/a) int_0^1 v^(1-1/a) E_{a,a}(k2 v)^2 dv
-    with an entire integrand -- one 64-point Gauss-Jacobi rule is exact to
-    machine precision.  Tail: dyadic Gauss-Legendre panels [2^m, 2^(m+1)]
-    until a panel contributes < 1e-12, with the asymptotic Mittag-Leffler
-    branch once |k2| s^a > 30.
+    R has Laplace transform 1/(p^a - k2), so by Plancherel on the imaginary
+    axis the integral is (1/pi) int_0^inf dw / (w^2a + 2|k2| w^a cos(pi a/2)
+    + k2^2), and a Mellin integral closes it:
+
+        sigma^2 |k2|^(1/a-2) sin(pi(1-a)/2) / (a sin(pi(1-a)/a) sin(pi a/2)),
+
+    sigma^2 / (2|k2|) at a = 1.  sin(pi(1-a)/a) = sin(pi(2a-1)/a); each
+    form is used where its argument carries no cancellation.
     """
     if not params.kappa2 < 0.0:
         raise ValidationError("stationary_variance: requires kappa2 < 0")
     a = params.alpha
-    k2 = params.kappa2
-
-    def E_aa(z: float) -> float:
-        if z >= -ML_MAX_ABS_Z:
-            return mittag_leffler(a, a, z)
-        return _mittag_leffler_asymptotic(a, a, z)
-
-    nodes, weights = jacobi_rule(64, 0.0, 1.0 - 1.0 / a, 0.0, 1.0)
-    head = float(
-        np.sum(weights * np.array([E_aa(k2 * v) ** 2 for v in nodes]))
-    ) / a
-
-    tail = 0.0
-    for m in range(0, 41):
-        lo, hi = 2.0**m, 2.0 ** (m + 1)
-        s, w = legendre_rule(32, lo, hi)
-        vals = np.array([s_i ** (2.0 * a - 2.0) * E_aa(k2 * s_i**a) ** 2 for s_i in s])
-        panel = float(np.sum(w * vals))
-        tail += panel
-        if panel < 1e-12:
-            break
-    else:
-        raise ConvergenceError("stationary_variance: tail panels did not close")
-    return params.sigma**2 * (head + tail)
+    k = -params.kappa2
+    if a == 1.0:
+        return params.sigma**2 / (2.0 * k)
+    den = a * math.sin(0.5 * math.pi * a)
+    den *= math.sin(math.pi * ((2.0 * a - 1.0) if a < 2.0 / 3.0 else (1.0 - a)) / a)
+    return params.sigma**2 * k ** (1.0 / a - 2.0) * math.sin(0.5 * math.pi * (1.0 - a)) / den
 
 
 # ---------------------------------------------------------------------------

@@ -273,31 +273,45 @@ def second_moment_L(
 def cubic_exact(p: ModelParams, f: FunctionSpec) -> float:
     """E[L_T^3] = 6 rho int_0^T int_0^t E[f(X_s)(ff')(X_t)] D_s X_t ds dt.
 
-    The inner integral substitutes v = (t-s)^alpha, absorbing the Malliavin
-    kernel singularity:
+    For affine f = f0 + f1 x the expectation is f1 (f0 + f1 m_s)(f0 + f1 m_t)
+    + f1^3 Cov(X_s, X_t), and D_s X_t = sigma R(t-s) with the resolvent
+    R(u) = u^(a-1) E_{a,a}(k2 u^a).  The mean part keeps the double
+    integral; its inner integral substitutes v = (t-s)^alpha, absorbing the
+    kernel singularity,
 
-        int_0^t D_s X_t phi(s, t) ds
-            = (sigma/alpha) int_0^{t^alpha} E_{a,a}(k2 v) phi(t - v^{1/a}, t) dv,
+        int_0^t R(t-s) g(s) ds = (1/alpha) int_0^{t^alpha} E_{a,a}(k2 v) g(t - v^{1/a}) dv,
 
-    then graded panels resolve the remaining algebraic endpoint behaviour on
-    both axes.  Affine f only.
+    and graded panels resolve the algebraic endpoint behaviour on both axes.
+    The covariance part collapses to one dimension: with Cov(X_s, X_t) =
+    sigma^2 int_0^s R(t-r) R(s-r) dr, swapping the order of integration gives
+
+        int int_{s<t} R(t-s) Cov(X_s, X_t) ds dt
+            = sigma^2 int_0^T (T - tau) R(tau) (R*R)(tau) dtau,
+
+    where R*R has Laplace transform 1/(p^a - k2)^2, so
+    (R*R)(tau) = tau^(2a-1) [E_{a,2a-1} + (1-a) E_{a,2a}](k2 tau^a) / a.
+    In y = tau^a its integrand is y^(2-1/a) (T - y^(1/a)) times entire
+    functions of y, on graded panels toward 0.  Affine f only.
     """
     f0, f1 = f.affine_pair()
     if p.rho == 0.0 or f1 == 0.0:
         return 0.0
     a = p.alpha
+    k2 = p.kappa2
     t, wt = _panel_rule(graded_panels(0.0, p.T, 26, toward="lo"), 12)
     # inner v-rule on [0, 1], scaled to [0, t^a] per t-node
     x, wx = _panel_rule(graded_panels(0.0, 1.0, 22, toward="both"), 10)
     v = np.outer(t**a, x).ravel()
-    w = np.outer(wt * t**a, wx).ravel() * _ml_entire_array(a, a, p.kappa2 * v)
-    t = np.repeat(t, x.size)
-    s = np.maximum(t - v ** (1.0 / a), 0.0)
-    m_s = _mean_many(p, s)
-    m_t = _mean_many(p, t)
-    c_st = _cov_pairs(p, s, t)
-    phi = f1 * (f0 * f0 + f0 * f1 * (m_s + m_t) + f1 * f1 * (c_st + m_s * m_t))
-    return 6.0 * p.rho * (p.sigma / a) * float(np.sum(w * phi))
+    w = np.outer(wt * t**a, wx).ravel() * _ml_entire_array(a, a, k2 * v)
+    g_t = np.repeat(f0 + f1 * _mean_many(p, t), x.size)
+    g_s = f0 + f1 * _mean_many(p, np.maximum(np.repeat(t, x.size) - v ** (1.0 / a), 0.0))
+    mean_part = float(np.sum(w * g_s * g_t)) / a
+    y, wy = _panel_rule(graded_panels(0.0, p.T**a, 40, toward="lo"), 16)
+    z = k2 * y
+    rr = _ml_entire_array(a, 2.0 * a - 1.0, z) + (1.0 - a) * _ml_entire_array(a, 2.0 * a, z)
+    kernel = y ** (2.0 - 1.0 / a) * (p.T - y ** (1.0 / a)) * _ml_entire_array(a, a, z) * rr / a
+    cov_part = p.sigma**2 * float(np.sum(wy * kernel)) / a
+    return 6.0 * p.rho * p.sigma * f1 * (mean_part + f1 * f1 * cov_part)
 
 
 def cubic_scheme(law: SchemeLaw, p: ModelParams, f: FunctionSpec) -> float:

@@ -15,11 +15,11 @@ Numerical policy
 The Mittag-Leffler series alternates violently for z << 0 (largest term
 ~ exp(|z|^(1/a))).  The fast path sums in float64 while tracking the peak
 term; if the roundoff estimate exceeds rel_tol * |sum| the same series is
-re-run in mpmath at a working precision sized to the peak.  Arguments
-|z| > 30 are rejected outright -- the mean-reversion scales this package
-targets keep |kappa2| * t^alpha well inside that; the far-tail asymptotic
-expansion (private ``_mittag_leffler_asymptotic``) exists only for the
-stationary-variance integrand.
+re-run in mpmath at a working precision sized to the peak; a peak term
+past the float64 range (|z| near 30 as a -> 1/2) goes straight to that
+re-run, or for z > 0 raises ConvergenceError.  Arguments |z| > 30 are
+rejected outright -- the mean-reversion scales this package targets keep
+|kappa2| * t^alpha well inside that.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ __all__ = [
 ]
 
 _EPS = 2.220446049250313e-16
+_LOG_FLOAT_MAX = 709.0  # exp() of more overflows float64
 
 # Largest |z| the Mittag-Leffler series accepts; see module docstring.
 ML_MAX_ABS_Z = 30.0
@@ -93,7 +94,11 @@ def gamma(x: float) -> float:
 
 
 def _ml_series_float(alpha: float, beta: float, z: float, ctl: SeriesControl):
-    """Plain float64 series; returns (sum, log_peak_term, n_terms, converged)."""
+    """Plain float64 series; returns (sum, log_peak_term, n_terms, converged).
+
+    A term beyond the float64 range ends the sum with sum = nan; the scan
+    then goes on to the peak term only, whose log sizes the mpmath re-run.
+    """
     total = float(rgamma(beta))
     if z == 0.0:
         return total, 0.0, 1, True
@@ -103,6 +108,13 @@ def _ml_series_float(alpha: float, beta: float, z: float, ctl: SeriesControl):
     prev_mag = abs(total)
     for i in range(1, ctl.max_terms + 1):
         log_t = i * log_az - math.lgamma(alpha * i + beta)
+        if log_t > _LOG_FLOAT_MAX:
+            for i in range(i + 1, ctl.max_terms + 1):
+                nxt = i * log_az - math.lgamma(alpha * i + beta)
+                if nxt <= log_t:
+                    return math.nan, log_t, i, True
+                log_t = nxt
+            return math.nan, log_t, ctl.max_terms, False
         log_peak = max(log_peak, log_t)
         term = (sgn_z**i) * math.exp(log_t) if log_t > -745.0 else 0.0
         total += term
@@ -142,7 +154,7 @@ def mittag_leffler(
     Domain: alpha in (0, 1], beta > 0, |z| <= 30.  The result carries
     relative error ~ ctl.rel_tol; float64 cancellation for strongly negative
     z is detected and repaired by an extended-precision re-run of the same
-    series.
+    series.  A value beyond the float64 range raises ConvergenceError.
     """
     ctl = ctl or _DEFAULT_CTL
     alpha = float(alpha)
@@ -162,35 +174,17 @@ def mittag_leffler(
             f"mittag_leffler: {ctl.max_terms} terms reached while terms still "
             f"growing (alpha={alpha}, beta={beta}, z={z})"
         )
+    if z > 0.0 and not math.isfinite(total):
+        # every term is positive: the sum exceeds its overflowing peak term
+        raise ConvergenceError(
+            f"mittag_leffler: E_{{{alpha},{beta}}}({z}) exceeds the float64 range"
+        )
     # roundoff ~ peak_term * eps * n_terms; compare against what was asked for
-    roundoff = math.exp(log_peak) * _EPS * max(n_terms, 1)
-    if roundoff > ctl.rel_tol * max(abs(total), 1e-300):
+    if math.isnan(total) or (
+        math.exp(log_peak) * _EPS * max(n_terms, 1) > ctl.rel_tol * max(abs(total), 1e-300)
+    ):
         dps = int(log_peak / math.log(10.0)) + 30
         return _ml_series_mp(alpha, beta, z, ctl, max(dps, 30))
-    return total
-
-
-def _mittag_leffler_asymptotic(alpha: float, beta: float, z: float) -> float:
-    """E_{alpha,beta}(z) for z <= -30 via the z -> -inf expansion.
-
-    E ~ -sum_{k>=1} z^{-k} / Gamma(beta - alpha*k); terms are added while
-    they shrink.  At |z| >= 30 the first omitted term is far below 1e-12
-    relative.  Private: only the stationary-variance tail needs it.
-    """
-    if z > -ML_MAX_ABS_Z:
-        raise ValidationError("asymptotic branch is for z <= -30")
-    total = 0.0
-    prev = math.inf
-    for k in range(1, 60):
-        coef = float(rgamma(beta - alpha * k))
-        term = -coef / z**k
-        if coef != 0.0 and abs(term) >= prev:
-            break
-        total += term
-        if coef != 0.0:
-            prev = abs(term)
-            if abs(term) <= 1e-17 * max(abs(total), 1e-300):
-                break
     return total
 
 

@@ -110,6 +110,15 @@ def test_stationary_is_json_only(tmp_path):
     assert doc["pass"]["variance_settled"] in (True, False)
 
 
+def test_stationary_near_alpha_one_half(tmp_path):
+    # the closed-form limit and cov_exact at t = 40 both stay in range at
+    # the alpha -> 1/2 edge, where the Mittag-Leffler terms are largest
+    code = run(["stationary", "--alpha", "0.51", "--out", str(tmp_path)])
+    assert code == 0
+    doc = json.loads(read(tmp_path / "stationary.json"))
+    assert doc["pass"]["variance_settled"] is True
+
+
 def test_byte_identical_reruns(tmp_path):
     argv = [
         "sample",

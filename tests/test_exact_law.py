@@ -291,6 +291,43 @@ def test_stationary_is_long_time_variance_limit(params):
     assert gaps[2] < 0.01
 
 
+def plancherel_variance(p, terms=200):
+    """sigma^2 int_0^inf R^2 by Plancherel: R has Laplace transform
+    1/(w^a - k2), and in u = w^a the integral is
+
+        (sigma^2 / (pi a)) int_0^inf u^(1/a-1) du / (u^2 + 2 k u cos(pi a/2) + k^2),
+
+    k = -k2: mp quadrature on [0, 2k], beyond it the Chebyshev expansion
+    1/(1 - 2xt + t^2) = sum U_n(x) t^n in t = k/u <= 1/2, integrated
+    term by term."""
+    with mp.workdps(30):
+        a, k = mp.mpf(p.alpha), -mp.mpf(p.kappa2)
+        c = mp.cos(mp.pi * a / 2)
+        head = mp.quad(lambda u: u ** (1 / a - 1) / (u**2 + 2 * k * u * c + k**2), [0, k, 2 * k])
+        x, big = -c, 2 * k
+        u_prev, u_n, tail = mp.mpf(0), mp.mpf(1), mp.mpf(0)
+        for n in range(terms):
+            tail += u_n * k**n * big ** (1 / a - 2 - n) / (n + 2 - 1 / a)
+            u_prev, u_n = u_n, 2 * x * u_n - u_prev
+        return float(p.sigma**2 * (head + tail) / (mp.pi * a))
+
+
+@pytest.mark.parametrize("alpha", [0.51, 0.55, 0.6, 0.75, 0.9, 0.999])
+def test_stationary_variance_against_plancherel_integral(params, alpha):
+    p = dataclasses.replace(params, alpha=alpha, kappa2=-0.7, sigma=1.3)
+    assert stationary_variance(p) == pytest.approx(plancherel_variance(p), rel=1e-12)
+
+
+def test_stationary_variance_at_and_near_one(params):
+    # alpha = 1 is the Ornstein-Uhlenbeck process, variance sigma^2/(2|k2|);
+    # the closed form carries no 0/0 cancellation on the way there
+    p = dataclasses.replace(params, alpha=1.0, kappa2=-0.7, sigma=1.3)
+    ou = p.sigma**2 / (2.0 * 0.7)
+    assert stationary_variance(p) == pytest.approx(ou, rel=1e-14)
+    near = stationary_variance(dataclasses.replace(p, alpha=1.0 - 1e-10))
+    assert near == pytest.approx(ou, rel=1e-9)
+
+
 def test_stationary_requires_mean_reversion(params):
     with pytest.raises(ValidationError):
         stationary_variance(dataclasses.replace(params, kappa2=0.0))

@@ -276,6 +276,23 @@ def test_cubic_frozen_values(params):
     )
 
 
+@pytest.mark.parametrize("alpha", [0.51, 0.55, 0.75, 1.0])
+def test_cubic_exact_without_reversion_closed_form(params, alpha):
+    # kappa2 = 0: R(u) = u^(a-1)/Gamma(a) and m_t = x0 + k1 t^a/Gamma(a+1),
+    # so the mean part and the covariance part both integrate to powers of T
+    p = dataclasses.replace(params, kappa2=0.0, alpha=alpha, T=1.3)
+    a, T, x0, k1 = alpha, p.T, p.x0, p.kappa1
+    g = math.gamma
+    mean_part = (
+        x0**2 * T ** (a + 1) / ((a + 1) * g(a + 1))
+        + x0 * k1 * T ** (2 * a + 1) / (2 * a + 1) * (1 / g(a + 1) ** 2 + 1 / g(2 * a + 1))
+        + k1**2 * T ** (3 * a + 1) / ((3 * a + 1) * g(2 * a + 1) * g(a + 1))
+    )
+    cov_part = p.sigma**2 * T ** (3 * a) / (g(a) * g(2 * a) * (3 * a - 1) * 3 * a)
+    expected = 6 * p.rho * p.sigma * (mean_part + cov_part)
+    assert cubic_exact(p, F_ID) == pytest.approx(expected, rel=1e-12)
+
+
 def test_cubic_degenerate_cases(params):
     assert cubic_exact(dataclasses.replace(params, rho=0.0), F_ID) == 0.0
     const_f = FunctionSpec("constant", (0.8,), role="diffusion")

@@ -105,6 +105,17 @@ def test_ml_strongly_negative_cancellation():
     assert 0.0 < val < 1e-2
 
 
+def test_ml_overflowing_terms_near_half():
+    # at alpha = 0.51 the peak term near |z| = 29 is ~e^735, past float64:
+    # the negative argument goes to the mpmath re-run, the positive one
+    # (whose sum exceeds that term) is a typed failure
+    assert mittag_leffler(0.51, 0.51, -29.0) == pytest.approx(
+        ml_reference(0.51, 0.51, -29.0), rel=1e-12
+    )
+    with pytest.raises(ConvergenceError):
+        mittag_leffler(0.51, 0.51, 29.0)
+
+
 def test_ml_domain_errors():
     with pytest.raises(ValidationError):
         mittag_leffler(0.0, 1.0, 0.5)
