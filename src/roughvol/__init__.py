@@ -44,7 +44,7 @@ from .scheme import (
     malliavin_scheme,
     sample_scheme_paths,
 )
-from .specfun import SeriesControl, gamma, hyp2f1, mittag_leffler
+from .specfun import gamma, hyp2f1, mittag_leffler
 
 __version__ = "0.1.0"
 
@@ -58,7 +58,6 @@ __all__ = [
     "ModelParams",
     "RateFit",
     "SchemeLaw",
-    "SeriesControl",
     "TimeGrid",
     "ValidationError",
     "beta_convolution",

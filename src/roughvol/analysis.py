@@ -45,7 +45,7 @@ from .kernels import TimeGrid, jacobi_rule, legendre_rule
 from .moments import cubic_exact, cubic_scheme
 from .scheme import FunctionSpec, _driver_draws, _driver_factor, _propagate, _resolvent
 from .scheme import build_scheme_law
-from .specfun import SeriesControl, gamma
+from .specfun import gamma
 
 _QUANTITIES = ("mean_X", "var_X", "cov_X", "cubic_L")
 _MAX_CURVE_N = 4096
@@ -176,7 +176,6 @@ def weak_error_curve(
     alpha: float,
     p: ModelParams,
     n_list: Sequence[int],
-    ctl: SeriesControl | None = None,
 ) -> ErrorCurve:
     """Deterministic absolute weak errors of one scalar quantity vs n.
 
@@ -199,7 +198,7 @@ def weak_error_curve(
     T = p.T
     f_id = FunctionSpec("affine", (0.0, 1.0), role="diffusion")
     if quantity == "mean_X":
-        ref = mean_exact(p, T, ctl)
+        ref = mean_exact(p, T)
     elif quantity == "var_X":
         ref = cov_exact(p, T, T)
     elif quantity == "cov_X":

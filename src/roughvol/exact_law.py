@@ -5,7 +5,8 @@ The state process solves the linear Volterra equation
     X_t = x0 + int_0^t (t-s)^(a-1)/Gamma(a) * (k1 + k2 X_s) ds
              + sigma int_0^t (t-s)^(a-1)/Gamma(a) dW_s,        a in (1/2, 1],
 
-and is Gaussian with its law in Mittag-Leffler form:
+and is Gaussian with its law in Mittag-Leffler form (every E_{a,b} from
+``specfun.ml_array``):
 
 * mean      m(t)   = x0 E_a(k2 t^a) + (k1/k2)(E_a(k2 t^a) - 1)
 * kernel    D_s X_t = sigma R(t-s),  R(u) = u^(a-1) E_{a,a}(k2 u^a)   (s < t)
@@ -29,20 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceError, ValidationError
-from .kernels import (
-    TimeGrid,
-    c_matrix,
-    cross_kernel_table,
-    jacobi_rule,
-    legendre_rule,
-)
-from .specfun import (
-    ML_MAX_ABS_Z,
-    SeriesControl,
-    gamma,
-    mittag_leffler,
-    rgamma,
-)
+from .kernels import TimeGrid, c_matrix, cross_kernel_table, legendre_rule
+from .specfun import ML_MAX_ABS_Z, gamma, ml_array, rgamma
 
 __all__ = [
     "ModelParams",
@@ -62,13 +51,12 @@ _KAPPA2_ZERO = 1e-12  # |kappa2| below this is treated as exactly zero
 # past this n the cost is better served by SchemeLaw-style tables.
 _GRID_LAW_MAX_N = 1024
 
-_ML_HORNER_TERMS = 48  # E_{a,b} series terms on |v| <= 1 in _ml_entire_array
-
 # _cov_pairs quadrature: Gauss nodes per panel, panel levels below
 # v = min(s, h) for an off-diagonal pair, nodes per batch
 _COV_NODES = 10
 _COV_EXTRA_LEVELS = 16
 _COV_BATCH = 1 << 16
+_COV_HEAD_TERMS = 96  # power-series terms of the diagonal end panel
 
 
 @dataclass(frozen=True)
@@ -146,58 +134,26 @@ def _check_ml_scale(params: ModelParams, t: float) -> None:
         )
 
 
-def mean_exact(params: ModelParams, t: float, ctl: SeriesControl | None = None) -> float:
+def mean_exact(params: ModelParams, t: float) -> float:
     """E[X_t]; reduces to x0 + kappa1 t^alpha / Gamma(alpha+1) when kappa2 = 0."""
     t = float(t)
     if t < 0.0:
         raise ValidationError(f"mean_exact: t must be >= 0, got {t}")
-    if t == 0.0:
-        return params.x0
-    a = params.alpha
-    if params.kappa2_is_zero:
-        return params.x0 + params.kappa1 * t**a / gamma(a + 1.0)
-    _check_ml_scale(params, t)
-    E = mittag_leffler(a, 1.0, params.kappa2 * t**a, ctl)
-    return params.x0 * E + (params.kappa1 / params.kappa2) * (E - 1.0)
+    return float(_mean_many(params, np.array([t]))[0])
 
 
 def malliavin_exact(params: ModelParams, s: float, t: float) -> float:
     """D_s X_t = sigma (t-s)^(alpha-1) E_{alpha,alpha}(kappa2 (t-s)^alpha), s < t."""
     if not (0.0 <= s < t):
         raise ValidationError(f"malliavin_exact: need 0 <= s < t, got s={s}, t={t}")
-    u = t - s
-    a = params.alpha
-    _check_ml_scale(params, u)
-    return params.sigma * u ** (a - 1.0) * mittag_leffler(a, a, params.kappa2 * u**a)
-
-
-def _ml_entire_array(alpha: float, beta: float, v: np.ndarray) -> np.ndarray:
-    """E_{alpha,beta}(v) over an array, exploiting that it is entire in v.
-
-    Horner where |v| <= 1 over the first 48 reciprocal-Gamma coefficients,
-    less the terms that stay below 1e-17 of the first (truncation and
-    cancellation both stay below ~1e-15 there for every alpha > 1/2); the
-    guarded scalar evaluator elementwise beyond.
-    """
-    v = np.asarray(v, dtype=float)
-    far = np.abs(v) > 1.0
-    vmax = float(np.abs(v[~far]).max(initial=0.0))
-    coef = rgamma(alpha * np.arange(_ML_HORNER_TERMS) + beta)
-    coef = coef[coef * vmax ** np.arange(_ML_HORNER_TERMS) >= 1e-17 * coef[0]]
-    E = np.zeros_like(v)
-    for c in coef[::-1]:
-        E *= v
-        E += c
-    if np.any(far):
-        E[far] = [mittag_leffler(alpha, beta, float(vi)) for vi in v[far]]
-    return E
+    return float(_malliavin_kernel_array(params, np.array([t - s]))[0])
 
 
 def _malliavin_kernel_array(params: ModelParams, u: np.ndarray) -> np.ndarray:
     """Vectorised sigma*u^(a-1)*E_{a,a}(k2 u^a) for u > 0 arrays."""
     a = params.alpha
     u = np.asarray(u, dtype=float)
-    return params.sigma * u ** (a - 1.0) * _ml_entire_array(a, a, params.kappa2 * u**a)
+    return params.sigma * u ** (a - 1.0) * ml_array(a, a, params.kappa2 * u**a)
 
 
 def _mean_many(params: ModelParams, t: np.ndarray) -> np.ndarray:
@@ -206,7 +162,7 @@ def _mean_many(params: ModelParams, t: np.ndarray) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     if params.kappa2_is_zero:
         return params.x0 + params.kappa1 * t**a / gamma(a + 1.0)
-    E = _ml_entire_array(a, 1.0, params.kappa2 * t**a)
+    E = ml_array(a, 1.0, params.kappa2 * t**a)
     return params.x0 * E + (params.kappa1 / params.kappa2) * (E - 1.0)
 
 
@@ -215,25 +171,35 @@ def _mean_many(params: ModelParams, t: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _cov_rule(alpha: float, depth: int, diagonal: bool):
+def _cov_rule(alpha: float, depth: int):
     """Nodes v = s f and weights c of the Cov(X_s, X_{s+h}) quadrature.
 
     Cov = sigma^2 s^a sum_i c_i (h + v_i)^(a-1) E(k2 v_i^a) E(k2 (h + v_i)^a)
     with E = E_{a,a}.  Gauss-Legendre rules sit on the panels
     [s 2^-(k+1), s 2^-k], k < depth, and on the end panel [0, s 2^-depth]
-    in y = v^a, where R(v) dv = E(k2 y) dy / a.  For h = 0 the end panel
-    has weight y^(1-1/a) times the entire E(k2 y)^2: a Gauss-Jacobi rule.
+    in y = v^a, where R(v) dv = E(k2 y) dy / a.  The end panel's
+    _COV_NODES nodes come last.
     """
     x, w = legendre_rule(_COV_NODES, 0.0, 1.0)
     lo = 2.0 ** -np.arange(1.0, depth + 1.0)[:, None]
     f = lo * (1.0 + x)
     c = lo * w * f ** (alpha - 1.0)
-    if diagonal:
-        x, w = jacobi_rule(_COV_NODES, 0.0, 1.0 - 1.0 / alpha, 0.0, 1.0)
-        w = w * x ** (1.0 / alpha - 1.0)
     f = np.append(f, 2.0**-depth * x ** (1.0 / alpha))
     c = np.append(c, 2.0 ** (-depth * alpha) * w / alpha)
     return f, c
+
+
+def _cov_head(alpha: float, k2: float, V: np.ndarray) -> np.ndarray:
+    """int_0^V R(v)^2 dv for |k2| V^a <= 1, by the power series of R^2.
+
+    R(v)^2 = v^(2a-2) sum_m k2^m B_m v^(am) with B_m = sum_j c_j c_(m-j),
+    c_j = 1/Gamma(a(j+1)), so the integral is
+    sum_m k2^m B_m V^(2a-1+am) / (2a-1+am).
+    """
+    c = rgamma(alpha * np.arange(1.0, _COV_HEAD_TERMS + 1.0))
+    coef = np.convolve(c, c)[:_COV_HEAD_TERMS]
+    coef /= 2.0 * alpha - 1.0 + alpha * np.arange(_COV_HEAD_TERMS)
+    return V ** (2.0 * alpha - 1.0) * np.polynomial.polynomial.polyval(k2 * V**alpha, coef)
 
 
 def _cov_pairs(params, t_small, t_big):
@@ -243,7 +209,8 @@ def _cov_pairs(params, t_small, t_big):
     resolvent kernel R(u) = u^(a-1) E_{a,a}(k2 u^a).  R(v) is singular at
     v = 0 and R(h + v) varies on the scale h, so for h > 0 the geometric
     panels of `_cov_rule` reach _COV_EXTRA_LEVELS levels below min(s, h);
-    for h = 0 they go down until |k2| v^a <= 1 on the end panel.  On a
+    for h = 0 they go down until |k2| v^a <= 1, and `_cov_head` gives the
+    end panel [0, v] in closed form.  On a
     panel [b, 2b] the integrand is analytic within distance b, so 10 Gauss
     nodes are exact to ~(3 + 2 sqrt 2)^-20 = 5e-16.  Pairs are grouped by
     depth and evaluated in batches of about _COV_BATCH nodes, which bounds
@@ -262,16 +229,19 @@ def _cov_pairs(params, t_small, t_big):
     depth[off] = np.maximum(np.ceil(np.log2(s[off] / h[off])), 0.0) + _COV_EXTRA_LEVELS
     for diagonal, group in ((True, diag), (False, off)):
         for d in np.unique(depth[group]):
-            f, c = _cov_rule(a, int(d), diagonal)
+            f, c = _cov_rule(a, int(d))
+            if diagonal:
+                f, c = f[:-_COV_NODES], c[:-_COV_NODES]
             idx = np.nonzero(group & (depth == d))[0]
-            step = max(1, _COV_BATCH // f.size)
+            step = _COV_BATCH // max(f.size, 1)
             for lo in range(0, idx.size, step):
                 j = idx[lo : lo + step]
                 v = s[j, None] * f
                 u = h[j, None] + v
-                E = _ml_entire_array(a, a, k2 * np.concatenate((v**a, u**a)))
+                E = ml_array(a, a, k2 * np.concatenate((v**a, u**a)))
                 terms = c * u ** (a - 1.0) * E[: j.size] * E[j.size :]
                 out[j] = s[j] ** a * np.sum(terms, axis=1)
+    out[diag] += _cov_head(a, k2, s[diag] * 2.0 ** -depth[diag])
     return params.sigma**2 * out
 
 
@@ -324,7 +294,7 @@ def grid_law_exact(params: ModelParams, grid: TimeGrid) -> GaussianLaw:
             f"grid_law_exact: n <= {_GRID_LAW_MAX_N} (cost is O(n^2) series sums)"
         )
     t = grid.times
-    mean = np.array([mean_exact(params, t[k]) for k in range(1, n + 1)])
+    mean = _mean_many(params, t[1:])
     jj, kk = np.triu_indices(n)
     t_lo = t[jj + 1]
     t_hi = t[kk + 1]

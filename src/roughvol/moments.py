@@ -59,7 +59,6 @@ from .exact_law import (
     _cov_pairs,
     _malliavin_kernel_array,
     _mean_many,
-    _ml_entire_array,
 )
 from .kernels import TimeGrid, graded_panels, jacobi_rule, legendre_rule
 from .scheme import (
@@ -68,7 +67,7 @@ from .scheme import (
     build_scheme_law,
     cell_integrated_malliavin,
 )
-from .specfun import gamma
+from .specfun import gamma, ml_array
 
 __all__ = [
     "Word",
@@ -302,14 +301,14 @@ def cubic_exact(p: ModelParams, f: FunctionSpec) -> float:
     # inner v-rule on [0, 1], scaled to [0, t^a] per t-node
     x, wx = _panel_rule(graded_panels(0.0, 1.0, 22, toward="both"), 10)
     v = np.outer(t**a, x).ravel()
-    w = np.outer(wt * t**a, wx).ravel() * _ml_entire_array(a, a, k2 * v)
+    w = np.outer(wt * t**a, wx).ravel() * ml_array(a, a, k2 * v)
     g_t = np.repeat(f0 + f1 * _mean_many(p, t), x.size)
     g_s = f0 + f1 * _mean_many(p, np.maximum(np.repeat(t, x.size) - v ** (1.0 / a), 0.0))
     mean_part = float(np.sum(w * g_s * g_t)) / a
     y, wy = _panel_rule(graded_panels(0.0, p.T**a, 40, toward="lo"), 16)
     z = k2 * y
-    rr = _ml_entire_array(a, 2.0 * a - 1.0, z) + (1.0 - a) * _ml_entire_array(a, 2.0 * a, z)
-    kernel = y ** (2.0 - 1.0 / a) * (p.T - y ** (1.0 / a)) * _ml_entire_array(a, a, z) * rr / a
+    rr = ml_array(a, 2.0 * a - 1.0, z) + (1.0 - a) * ml_array(a, 2.0 * a, z)
+    kernel = y ** (2.0 - 1.0 / a) * (p.T - y ** (1.0 / a)) * ml_array(a, a, z) * rr / a
     cov_part = p.sigma**2 * float(np.sum(wy * kernel)) / a
     return 6.0 * p.rho * p.sigma * f1 * (mean_part + f1 * f1 * cov_part)
 

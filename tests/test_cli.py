@@ -1,8 +1,11 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import roughvol
 from roughvol.cli import run
 
 
@@ -216,3 +219,11 @@ def test_help_exits_zero():
     with pytest.raises(SystemExit) as exc:
         run(["--help"])
     assert exc.value.code == 0
+
+
+def test_import_leaves_mpmath_unloaded():
+    # mpmath is a test-only dependency: a fresh CLI import must not load it
+    src = os.path.dirname(os.path.dirname(roughvol.__file__))
+    code = "import roughvol.cli, sys; sys.exit(any(m.split('.')[0] == 'mpmath' for m in sys.modules))"
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0

@@ -189,6 +189,14 @@ def test_variance_against_independent_series(params, alpha):
         assert cov_exact(p, 10.0, 10.0) == pytest.approx(var_series(p, 10.0), rel=5e-12)
 
 
+@pytest.mark.parametrize("alpha", [0.51, 0.55])
+def test_variance_near_half_is_closed_form(params, alpha):
+    # at |kappa2| t^alpha <= 1 the diagonal is one end panel, summed in
+    # closed form; a Gauss-Jacobi panel at exponent 1-1/alpha was 1e-13 off
+    p = dataclasses.replace(params, alpha=alpha)
+    assert cov_exact(p, 0.5, 0.5) == pytest.approx(var_series(p, 0.5, terms=80), rel=1e-14)
+
+
 def test_cov_symmetry_and_zero_edge(params):
     assert cov_exact(params, 0.4, 1.0) == pytest.approx(
         cov_exact(params, 1.0, 0.4), rel=1e-13

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from roughvol import ConvergenceError, SeriesControl, ValidationError, gamma, hyp2f1, mittag_leffler
-from roughvol.specfun import rgamma
+from roughvol import ConvergenceError, ValidationError, gamma, hyp2f1, mittag_leffler
+from roughvol.specfun import ml_array, rgamma
 
 
 def ml_reference(alpha, beta, z, terms=6000):
@@ -98,8 +98,8 @@ def test_ml_against_mp_series(alpha, beta):
 
 
 def test_ml_strongly_negative_cancellation():
-    # float64 series loses ~all digits near z = -30; the extended-precision
-    # rerun must kick in and keep full relative accuracy on the tiny result
+    # float64 series loses ~all digits near z = -30; the contour integral
+    # must keep full relative accuracy on the tiny result
     val = mittag_leffler(0.75, 0.75, -30.0)
     assert val == pytest.approx(ml_reference(0.75, 0.75, -30.0), rel=1e-10)
     assert 0.0 < val < 1e-2
@@ -107,7 +107,7 @@ def test_ml_strongly_negative_cancellation():
 
 def test_ml_overflowing_terms_near_half():
     # at alpha = 0.51 the peak term near |z| = 29 is ~e^735, past float64:
-    # the negative argument goes to the mpmath re-run, the positive one
+    # the negative argument is a contour integral, the positive one
     # (whose sum exceeds that term) is a typed failure
     assert mittag_leffler(0.51, 0.51, -29.0) == pytest.approx(
         ml_reference(0.51, 0.51, -29.0), rel=1e-12
@@ -123,6 +123,8 @@ def test_ml_domain_errors():
         mittag_leffler(1.2, 1.0, 0.5)
     with pytest.raises(ValidationError):
         mittag_leffler(0.75, 0.0, 0.5)
+    with pytest.raises(ValidationError):
+        mittag_leffler(0.75, 3.5, -2.0)
     with pytest.raises(ValidationError):
         mittag_leffler(0.75, 1.0, 31.0)
 
@@ -140,15 +142,38 @@ def test_ml_monotone_in_z_for_nonnegative_argument(alpha, beta, z):
     assert hi > lo > 0.0
 
 
-def test_series_control_validation():
+def test_ml_domain_edge_near_half():
+    # ml_reference(0.51, 0.51, -30.0, terms=9000): too slow for this suite
+    assert mittag_leffler(0.51, 0.51, -30.0) == pytest.approx(3.1362640845149583e-4, rel=1e-12)
+
+
+@settings(max_examples=50)
+@given(
+    alpha=st.floats(min_value=0.5, max_value=1.0, exclude_min=True),
+    beta=st.floats(min_value=0.0, max_value=2.0, exclude_min=True),
+    z=st.floats(min_value=-30.0, max_value=30.0),
+)
+def test_ml_recurrence(alpha, beta, z):
+    # E_{a,b}(z) = 1/Gamma(b) + z E_{a,a+b}(z), over all three branches
+    try:
+        lhs = mittag_leffler(alpha, beta, z)
+        shifted = z * mittag_leffler(alpha, alpha + beta, z)
+    except ConvergenceError:
+        assert z > 0.0
+        return
+    scale = abs(rgamma(beta)) + abs(shifted)
+    # the 1e-17 absolute part of each value's error bound, carried by z
+    assert abs(lhs - rgamma(beta) - shifted) <= 1e-12 * scale + 1e-17 * (1.0 + abs(z))
+
+
+def test_ml_array_matches_scalar_and_keeps_shape():
+    z = np.array([[-29.5, -3.0, -1.0], [0.0, 0.7, 12.0]])
+    E = ml_array(0.75, 0.75, z)
+    assert E.shape == z.shape
+    scalar = [mittag_leffler(0.75, 0.75, zi) for zi in z.ravel()]
+    np.testing.assert_allclose(E.ravel(), scalar, rtol=1e-15, atol=0.0)
     with pytest.raises(ValidationError):
-        SeriesControl(rel_tol=0.0)
-    with pytest.raises(ValidationError):
-        SeriesControl(max_terms=0)
-    ctl = SeriesControl(rel_tol=1e-8, max_terms=50_000)
-    assert mittag_leffler(0.75, 1.0, 2.0, ctl) == pytest.approx(
-        ml_reference(0.75, 1.0, 2.0), rel=1e-7
-    )
+        ml_array(0.75, 0.75, np.array([-1.0, -30.5]))
 
 
 # ----------------------------------------------------------------- 2F1 ----
