@@ -172,8 +172,7 @@ def cross_kernel_table(grid: TimeGrid, alpha: float, omega=None) -> np.ndarray:
     K[j-1, k-1] + dt^(2a-1) H[j, k] with H[p, q] = int_0^1 g_p g_q du.  g_p
     is the spike omega_{p-1} (1-u)^(a-1) plus r_p, analytic out to u = 2:
     spike^2 is exact, spike x r_p a Gauss-Jacobi rule, r_p^2 Gauss-Legendre,
-    16 nodes each (error ~ (3+2 sqrt 2)^-32).  The upper half is summed and
-    mirrored, so K is exactly symmetric.
+    16 nodes each (error ~ (3+2 sqrt 2)^-32).
     """
     alpha = _check_alpha(alpha)
     n = grid.n
@@ -192,8 +191,16 @@ def cross_kernel_table(grid: TimeGrid, alpha: float, omega=None) -> np.ndarray:
     right = np.column_stack((rl, spike, jac))
     K = np.zeros((n + 1, n + 1))
     K[1:, 1:] = (grid.dt ** (2.0 * alpha - 1.0) * left) @ right.T
-    for j in range(1, n + 1):
-        K[j, j:] += K[j - 1, j - 1 : n]
+    return _diagonal_cumsum(K)
+
+
+def _diagonal_cumsum(K: np.ndarray) -> np.ndarray:
+    """Per-cell increments to the grid table, in place: K[j, k] += K[j-1, k-1]
+    on the upper half, each row mirrored into its column (exact symmetry)."""
+    m = K.shape[0]
+    K[1:, 0] = K[0, 1:]
+    for j in range(1, m):
+        K[j, j:] += K[j - 1, j - 1 : m - 1]
         K[j + 1 :, j] = K[j, j + 1 :]
     return K
 
@@ -257,22 +264,11 @@ def graded_panels(lo: float, hi: float, n_levels: int = 30, toward: str = "hi"):
     """
     if hi <= lo:
         raise ValidationError("graded_panels: need hi > lo")
-    length = hi - lo
     if toward == "both":
-        midl = lo + 0.5 * length
-        left = graded_panels(lo, midl, n_levels, toward="lo")
-        right = graded_panels(midl, hi, n_levels, toward="hi")
-        return left + right
-    fracs = [0.0] + [2.0 ** (k - n_levels) for k in range(1, n_levels + 1)]
-    panels = []
-    if toward == "lo":
-        pts = [lo + f * length for f in fracs]
-        pts[-1] = hi
-        panels = [(pts[i], pts[i + 1]) for i in range(len(pts) - 1)]
-    elif toward == "hi":
-        pts = [hi - f * length for f in fracs]
-        pts[-1] = lo
-        panels = [(pts[i + 1], pts[i]) for i in range(len(pts) - 1)][::-1]
-    else:
+        mid = lo + 0.5 * (hi - lo)
+        return graded_panels(lo, mid, n_levels, "lo") + graded_panels(mid, hi, n_levels, "hi")
+    if toward not in ("lo", "hi"):
         raise ValidationError("graded_panels: toward must be 'lo', 'hi', or 'both'")
-    return panels
+    gaps = [0.0] + [2.0 ** (k - n_levels) * (hi - lo) for k in range(1, n_levels)]
+    pts = [lo + g for g in gaps] + [hi] if toward == "lo" else [lo] + [hi - g for g in gaps[::-1]]
+    return list(zip(pts[:-1], pts[1:]))[:n_levels]

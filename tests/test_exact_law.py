@@ -20,7 +20,8 @@ from roughvol import (
     sample,
     stationary_variance,
 )
-from roughvol.kernels import graded_panels, jacobi_rule, legendre_rule
+from roughvol.exact_law import _cov_pairs
+from roughvol.kernels import cross_kernel_table, graded_panels, jacobi_rule, legendre_rule
 
 
 def mean_series(p, t, terms=200):
@@ -360,9 +361,37 @@ def test_grid_law_consistency(params):
     )
 
 
+def _normalised(a, b):
+    """max |a - b| / sqrt(b_jj b_kk) over a covariance table."""
+    d = np.sqrt(np.diag(b))
+    return np.max(np.abs(a - b) / np.outer(d, d))
+
+
+@pytest.mark.parametrize("alpha", [0.51, 0.75, 0.999, 1.0])
+def test_grid_law_without_reversion_is_kernel_table(params, alpha):
+    # kappa2 = 0: R(u) = u^(a-1)/Gamma(a), so the covariance is the power
+    # kernel's cross table, built by an independent cell quadrature
+    p = dataclasses.replace(params, kappa2=0.0, sigma=1.3, alpha=alpha)
+    g = TimeGrid(256, p.T)
+    ref = p.sigma**2 / math.gamma(alpha) ** 2 * cross_kernel_table(g, alpha)[1:, 1:]
+    assert _normalised(grid_law_exact(p, g).cov, ref) <= 1e-13
+
+
+@pytest.mark.parametrize("alpha", [0.51, 0.75, 0.999, 1.0])
+def test_grid_law_matches_cov_pairs(params, alpha):
+    # the first-cell recurrence against the pairwise Ito-isometry quadrature
+    p = dataclasses.replace(params, alpha=alpha)
+    g = TimeGrid(64, p.T)
+    jj, kk = np.triu_indices(g.n)
+    ref = np.zeros((g.n, g.n))
+    ref[jj, kk] = _cov_pairs(p, g.times[jj + 1], g.times[kk + 1])
+    ref[kk, jj] = ref[jj, kk]
+    assert _normalised(grid_law_exact(p, g).cov, ref) <= 1e-13
+
+
 def test_grid_law_size_cap(params):
     with pytest.raises(ValidationError):
-        grid_law_exact(params, TimeGrid(1025, params.T))
+        grid_law_exact(params, TimeGrid(4097, params.T))
 
 
 def test_driver_law_blocks(params):
@@ -405,6 +434,20 @@ def test_sample_validation(params):
     for block_size in (0, -5):
         with pytest.raises(ValidationError):
             sample(law, 10, seed=1, block_size=block_size)
+
+
+def test_gaussian_law_psd_threshold():
+    # eigenvalues down to -1e-8 of the largest variance pass as rounding,
+    # larger negative ones are refused
+    q = np.linalg.qr(np.random.default_rng(3).standard_normal((4, 4)))[0]
+    for lam, ok in ((0.0, True), (-1e-10, True), (-1e-6, False)):
+        cov = (q * [2.0, 1.0, 0.5, lam]) @ q.T
+        cov = 0.5 * (cov + cov.T)
+        if ok:
+            GaussianLaw(tuple("abcd"), np.zeros(4), cov)
+        else:
+            with pytest.raises(ValidationError):
+                GaussianLaw(tuple("abcd"), np.zeros(4), cov)
 
 
 def test_gaussian_law_validation():

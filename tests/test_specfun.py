@@ -116,6 +116,18 @@ def test_ml_overflowing_terms_near_half():
         mittag_leffler(0.51, 0.51, 29.0)
 
 
+def test_ml_positive_near_half():
+    # positive terms peaking at i ~ 1000-1500: i log z and the Gamma
+    # argument must not carry float64 rounding into the log-terms
+    for alpha, beta, z in ((0.5115, 1.0918, 26.85), (0.5399, 1.7434, 30.0)):
+        with mp.workdps(40):  # nothing cancels, so 40 digits suffice
+            zm, am, bm = mp.mpf(z), mp.mpf(alpha), mp.mpf(beta)
+            terms = [zm**i / mp.gamma(am * i + bm) for i in range(2200)]
+            assert terms[-1] < 1e-40 * max(terms)
+            ref = float(mp.fsum(terms))
+        assert mittag_leffler(alpha, beta, z) == pytest.approx(ref, rel=1e-13)
+
+
 def test_ml_domain_errors():
     with pytest.raises(ValidationError):
         mittag_leffler(0.0, 1.0, 0.5)
