@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, ValidationError
-from .exact_law import _BLOCK_SIZE, GaussianLaw, ModelParams, _blocks, _cholesky_psd, driver_law
+from .exact_law import _BLOCK_SIZE, ModelParams, _blocks, _cholesky_psd, driver_law
 from .kernels import TimeGrid, c_weight_diffs, cross_kernel_table, toeplitz_upper
 from .specfun import gamma
 
@@ -158,11 +158,6 @@ class SchemeLaw:
     @property
     def n(self) -> int:
         return self.grid.n
-
-    def as_gaussian_law(self) -> GaussianLaw:
-        """The law of (Xc_{t_1}, ..., Xc_{t_n}) as a labelled GaussianLaw."""
-        labels = tuple(f"Xc[{k}]" for k in range(1, self.n + 1))
-        return GaussianLaw(labels, self.mean[1:], self.cov[1:, 1:])
 
 
 def _resolvent(grid: TimeGrid, p: ModelParams):

@@ -3,13 +3,15 @@
 Public entry points:
 
 * ``gamma``          -- Euler Gamma on x > 0 (``math.gamma``)
+* ``rgamma``         -- 1/Gamma(x) on x > 0, elementwise (``math``)
 * ``ml_array``       -- E_{a,b}(z) = sum_{i>=0} z^i / Gamma(a*i + b) over an
                         array; ``mittag_leffler`` is the same at one point
 * ``hyp2f1``         -- Gauss hypergeometric 2F1(a, b; c; z) for z in [0, 1]
                         (``scipy.special.hyp2f1``)
 
-``gamma`` and ``hyp2f1`` add only the domain checks the package relies on;
-``rgamma`` is ``scipy.special.rgamma``.
+``gamma`` and ``hyp2f1`` add only the domain checks the package relies on.
+Only ``hyp2f1`` needs scipy, and it imports it when first called: nothing
+else in the package loads scipy.
 
 Numerical policy
 ----------------
@@ -39,12 +41,11 @@ inside that.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
 import numpy as np
-from scipy import special
-from scipy.special import rgamma
 
 from .errors import ConvergenceError, ValidationError
 
@@ -83,6 +84,26 @@ def gamma(x: float) -> float:
     return math.gamma(x)
 
 
+def _rgamma(x: float) -> float:
+    if x < 1.0:  # 1/Gamma(x) = x/Gamma(1+x): no overflow as x -> 0
+        return x / math.gamma(1.0 + x)
+    if x > 171.6:  # Gamma(x) past the float64 range; the result underflows
+        return math.exp(-math.lgamma(x))
+    return 1.0 / math.gamma(x)
+
+
+def rgamma(x):
+    """1/Gamma(x) for x > 0, elementwise over an array (a float for a scalar).
+
+    Raises ValidationError outside x > 0.
+    """
+    arr = np.asarray(x, dtype=float)
+    if not arr.min(initial=1.0) > 0.0:
+        raise ValidationError(f"rgamma: domain is x > 0, got min {arr.min()}")
+    out = np.fromiter(map(_rgamma, arr.ravel().tolist()), float, arr.size).reshape(arr.shape)
+    return float(out) if out.ndim == 0 else out
+
+
 # ---------------------------------------------------------------------------
 # Mittag-Leffler
 # ---------------------------------------------------------------------------
@@ -119,8 +140,12 @@ def _ml_positive(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore"):
         for start in itertools.count(0, _ML_BLOCK_TERMS):
             x = alpha * (start + i) + beta
-            x64 = x.astype(float)  # gammaln(x) to first order; x64 < 1/2 only where x = x64
-            log_gamma = special.gammaln(x64) + (x - x64) * special.psi(np.maximum(x64, 0.5))
+            # lgamma(x) to first order in x - x64 (<= 2^-53 x), psi(x) taken as
+            # log x - 1/(2x): <= 2e-17 error for x >= 1/2; x64 < 1/2 only where x = x64
+            x64 = x.astype(float)
+            x_half = np.maximum(x64, 0.5)
+            lgamma = np.fromiter(map(math.lgamma, x64.tolist()), float, x64.size)
+            log_gamma = lgamma + (x - x64) * (np.log(x_half) - 0.5 / x_half)
             terms = np.exp((start + i) * log_z - log_gamma).astype(float)
             total += terms.sum(axis=1)
             if not np.isfinite(total).all():
@@ -129,6 +154,15 @@ def _ml_positive(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
                 )
             if (terms[:, -1] <= 2.0**-60 * total).all():
                 return total
+
+
+@functools.lru_cache(maxsize=64)
+def _ml_series_coef(alpha: float, beta: float) -> np.ndarray:
+    """Read-only 1/Gamma(a i + b), i < _ML_HORNER_TERMS: cached, because
+    callers such as strong_error_exact make one ml_array call per cell."""
+    coef = rgamma(alpha * np.arange(_ML_HORNER_TERMS) + beta)
+    coef.setflags(write=False)
+    return coef
 
 
 def ml_array(alpha: float, beta: float, z) -> np.ndarray:
@@ -158,7 +192,7 @@ def ml_array(alpha: float, beta: float, z) -> np.ndarray:
         raise ValidationError(f"mittag_leffler: |z| <= {ML_MAX_ABS_Z} required, got |z| = {zmax}")
     far = np.abs(z) > 1.0
     vmax = float(np.abs(z[~far]).max(initial=0.0))
-    coef = rgamma(alpha * np.arange(_ML_HORNER_TERMS) + beta)
+    coef = _ml_series_coef(alpha, beta)
     coef = coef[coef * vmax ** np.arange(_ML_HORNER_TERMS) >= 1e-17 * coef[0]]
     E = np.zeros_like(z)
     for c in coef[::-1]:
@@ -190,7 +224,11 @@ def hyp2f1(a: float, b: float, c: float, z: float) -> float:
     """2F1(a, b; c; z) for b > 0, c > b, 0 <= z <= 1 (``scipy.special.hyp2f1``).
 
     z = 1 requires c - a - b > 0 (Gauss value); otherwise ValidationError.
+    scipy is imported here, not at module level: no CLI command calls
+    hyp2f1, so none pays for loading scipy.
     """
+    from scipy import special
+
     a = float(a)
     b = float(b)
     c = float(c)

@@ -227,3 +227,25 @@ def test_import_leaves_mpmath_unloaded():
     code = "import roughvol.cli, sys; sys.exit(any(m.split('.')[0] == 'mpmath' for m in sys.modules))"
     proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0
+
+
+def test_cli_at_nonpositive_kappa2_leaves_scipy_unloaded(tmp_path):
+    # only hyp2f1 needs scipy; no command at kappa2 <= 0 may load it
+    src = os.path.dirname(os.path.dirname(roughvol.__file__))
+    ops = [
+        ["exact-law", "--n", "16"],
+        ["moment", "--which", "exact", "--order", "2", "--b", "poly:0.1,0,0.3"],
+        ["scheme-law", "--n", "64"],
+        ["sample", "--n", "32", "--paths", "256"],
+    ]
+    argvs = [op + ["--alpha", "0.75", "--kappa2", "-1", "--out", str(tmp_path)] for op in ops]
+    code = (
+        "import sys, roughvol.cli\n"
+        f"codes = [roughvol.cli.run(argv) for argv in {argvs!r}]\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+        "sys.exit(f'{codes} {loaded[:5]}' if any(codes) or loaded else 0)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr

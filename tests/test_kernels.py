@@ -123,6 +123,18 @@ def test_c_weight_diffs_gap_structure():
     assert d[3] == pytest.approx(c_weight(2, 5, g, 0.8), rel=1e-14)
 
 
+@pytest.mark.parametrize("alpha", [0.51, 0.55, 0.75, 0.999])
+def test_c_weight_diffs_far_gaps_against_mpmath(alpha):
+    # j^a - (j-1)^a by plain subtraction is 4.7e-12 off at j = 65536, a = 0.55
+    n = 65536
+    d = c_weight_diffs(TimeGrid(n, float(n)), alpha)  # dt = 1
+    with mp.workdps(40):
+        a = mp.mpf(alpha)
+        for j in (2, 64, 4096, 65536):
+            ref = (mp.mpf(j) ** a - mp.mpf(j - 1) ** a) / mp.gamma(a + 1)
+            assert d[j] == pytest.approx(float(ref), rel=1e-15, abs=0.0), j
+
+
 # --------------------------------------------------- cross-kernel integral ----
 
 
@@ -251,6 +263,21 @@ def test_jacobi_rule_moments():
 def test_jacobi_rule_validation():
     with pytest.raises(ValidationError):
         jacobi_rule(8, -1.0, 0.0, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("npts", [10, 16, 20, 48])
+def test_jacobi_rule_beta_moments_against_mpmath(npts):
+    # every moment the rule is exact for: int_0^1 (1-y)^a y^k dy = B(a+1, k+1),
+    # k < 2 npts, at the exponents the package uses (a = alpha - 1)
+    for alpha in (0.51, 0.75, 0.999, 1.0):
+        a = alpha - 1.0
+        y, w = jacobi_rule(npts, a, 0.0, 0.0, 1.0)
+        with mp.workdps(40):
+            ref = [float(mp.beta(mp.mpf(a) + 1, k + 1)) for k in range(2 * npts)]
+        got = np.vander(y, 2 * npts, increasing=True).T @ w
+        np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0.0, err_msg=f"alpha={alpha}")
+        x_ref, _ = roots_jacobi(npts, a, 0.0)
+        np.testing.assert_allclose(_reference_rule(npts, (a, 0.0))[0], x_ref, rtol=0.0, atol=1e-14)
 
 
 def test_cached_reference_rules_are_read_only():

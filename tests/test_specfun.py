@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 from roughvol import ConvergenceError, ValidationError, gamma, hyp2f1, mittag_leffler
 from roughvol.specfun import ml_array, rgamma
@@ -56,9 +57,18 @@ def test_gamma_domain():
         gamma(200.0)
 
 
-def test_rgamma_and_gammaln():
+def test_rgamma():
     for x in (0.3, 1.0, 4.7, 20.0):
         assert rgamma(x) == pytest.approx(1.0 / math.gamma(x), rel=1e-12)
+    # past both ends of math.gamma's range: x -> 0 (no overflow of Gamma) and
+    # x > 171.6, where 1/Gamma underflows to 0 or a subnormal
+    xs = np.array([5e-324, 1e-8, 0.3, 1.0, 4.7, 20.0, 171.5, 180.0])
+    got = rgamma(xs)
+    for x, value in zip(xs, got):
+        assert rgamma(float(x)) == value
+        assert value == pytest.approx(special.rgamma(x), rel=1e-14, abs=1e-320), x
+    with pytest.raises(ValidationError):
+        rgamma(np.array([1.0, 0.0]))
 
 
 # -------------------------------------------------------- mittag-leffler ----
