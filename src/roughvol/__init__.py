@@ -1,5 +1,6 @@
 """Rough mean-reverting Gaussian volatility: exact laws, a kernel-integrated
-Euler scheme, word-expansion moments, and weak/strong error analysis."""
+Euler scheme, log-price moments (word expansion; scheme quadratic form), and
+weak/strong error analysis."""
 
 from .analysis import (
     ErrorCurve,

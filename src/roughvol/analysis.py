@@ -364,20 +364,17 @@ def strong_error_exact(
     wcol = law.w[:, n]
     sgam = p.sigma / gamma(a)
     spike_sq = dt ** (2.0 * a - 1.0) / (2.0 * a - 1.0)
+    xl, wl = legendre_rule(npts, 0.0, dt)
+    xj, wj = jacobi_rule(npts, a - 1.0, 0.0, 0.0, dt)
+    x = t[: n - 1, None] + np.concatenate((xl, xj))  # row i: cell i's nodes
+    kern = _malliavin_kernel_array(p, T - x)  # one call for every cell
     var_diff = 0.0
     for i in range(n - 1):
         c_i = sgam * wcol[i + 1]
-        lo, hi = t[i], t[i + 1]
         t_tail = t[i + 2 : n + 1, None]
         w_tail = wcol[i + 2 : n + 1]
-        xl, wl = legendre_rule(npts, lo, hi)
-        g_l = _malliavin_kernel_array(p, T - xl) - sgam * (
-            w_tail @ (t_tail - xl[None, :]) ** (a - 1.0)
-        )
-        xj, wj = jacobi_rule(npts, a - 1.0, 0.0, lo, hi)
-        g_j = _malliavin_kernel_array(p, T - xj) - sgam * (
-            w_tail @ (t_tail - xj[None, :]) ** (a - 1.0)
-        )
+        g = kern[i] - sgam * (w_tail @ (t_tail - x[i]) ** (a - 1.0))
+        g_l, g_j = g[:npts], g[npts:]
         var_diff += float(wl @ g_l**2) - 2.0 * c_i * float(wj @ g_j) + c_i * c_i * spike_sq
     var_diff += _last_cell_difference_sq(p, dt)
     if var_diff < -_VAR_CLAMP * max(abs(float(law.cov[n, n])), 1.0):

@@ -359,9 +359,10 @@ def _run_strong_rate(cfg: RunConfig):
 def _run_moment(cfg: RunConfig):
     p = cfg.params
     grid = TimeGrid(cfg.n_list[0], p.T) if cfg.which == "scheme" else None
-    total, detail = moment_via_words(
-        cfg.order, p, cfg.b, which=cfg.which, grid=grid, detail=True
-    )
+    if grid is None:
+        total, detail = moment_via_words(cfg.order, p, cfg.b, which=cfg.which, detail=True)
+    else:  # one quadratic form: the scheme has no per-word view
+        total, detail = moment_via_words(cfg.order, p, cfg.b, which="scheme", grid=grid), {}
     rows = [[word, value] for word, value in detail.items()]
     rows.append(["total", total])
     results = {"order": cfg.order, "which": cfg.which, "total": total}

@@ -15,10 +15,10 @@ integral L_t = L0 + int_0^t b(X) du + int_0^t f(X) dB:
   ds-integral is available in closed form cell by cell so the scheme value
   carries no quadrature error at all.
 
-* ``moment_via_words`` -- any N <= 4 through the word expansion: E[L_T^N]
-  is a sum over words w in {I, J, K}* of weight ell(w) = N (last letter
-  never I) of iterated integrals over the descending simplex
-  T > r_1 > ... > r_m > 0 of
+* ``moment_via_words`` -- any N <= 4.  The exact branch uses the word
+  expansion: E[L_T^N] is a sum over words w in {I, J, K}* of weight
+  ell(w) = N (last letter never I) of iterated integrals over the
+  descending simplex T > r_1 > ... > r_m > 0 of
 
       C_w * sum_{pairings} prod_nu D_{r_{i_nu}} X_{r_{l_nu}}
             * E[ partial_{x_{l_1}} ... partial_{x_{l_k}} (base product) ],
@@ -31,15 +31,16 @@ integral L_t = L0 + int_0^t b(X) du + int_0^t f(X) dB:
 
   The engine is restricted to f(x) = x and polynomial b of degree <= 2, so
   every inner expectation is a polynomial moment of a Gaussian vector and
-  is evaluated exactly by ``gaussian_moment``'s Isserlis expansion.  On the
-  scheme branch the state arguments freeze to grid points, which turns the
-  simplex integral into exact sums over weakly decreasing cell tuples: the
-  Malliavin kernel integrates in closed form against the polynomial
-  cell-volume factors except when two or more paired I coordinates share a
-  cell, where a small fixed singular quadrature takes over.
+  is evaluated exactly by ``gaussian_moment``'s Isserlis expansion.  Word
+  contributions are evaluated and summed in canonical word order (shorter
+  words first, then lexicographic), so results are bit-stable.
 
-Word contributions are evaluated and summed in canonical word order
-(shorter words first, then lexicographic), so results are bit-stable.
+  The scheme branch needs no words: with frozen arguments the scheme
+  log-price is exactly a quadratic form c + a'Z + Z'SZ in the 2n jointly
+  Gaussian variables Z = (X-check_{t_k} - m_k, dB_k), whose cumulants are
+  traces of powers of S Cov(Z) (``_scheme_moment``).  It is exact given
+  the scheme law, costs one 2n x 2n GEMM for N >= 3, and caps N >= 2 at
+  n <= 2048 for memory.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ from .scheme import (
     build_scheme_law,
     cell_integrated_malliavin,
 )
-from .specfun import gamma, ml_array
+from .specfun import ml_array
 
 __all__ = [
     "Word",
@@ -84,8 +85,8 @@ __all__ = [
 _MAX_MOMENT_DEGREE = 8
 _MAX_MOMENT_DIM = 8
 _LETTER_WEIGHT = {"I": 1, "J": 2, "K": 1}
-# scheme-branch grid caps: the cell-tuple enumeration grows like n^m
-_SCHEME_N_CAP = {1: 4096, 2: 1024, 3: 256, 4: 64}
+# scheme-branch grid cap for N >= 2: the quadratic form is 2n x 2n
+_MAX_FORM_N = 2048
 # exact-branch tensor budget per simplex dimension m:
 # (outer levels, outer nodes, inner levels, inner nodes)
 _EXACT_BUDGET = {
@@ -577,280 +578,59 @@ def _word_integral_exact(word: Word, p: ModelParams, b: FunctionSpec) -> float:
 
 
 # --------------------------------------------------------------------------
-# Word engine, scheme branch
+# Scheme moments from one Gaussian quadratic form
 # --------------------------------------------------------------------------
 
 
-def _tie_patterns(m: int):
-    """Compositions of m: all splittings of coordinates 1..m into runs.
+def _scheme_moment(N: int, law: SchemeLaw, p: ModelParams, b: FunctionSpec) -> float:
+    """E[(L-check_T)^N] for f(x) = x from the cumulants of a quadratic form.
 
-    Coordinates in one run share a grid cell; runs carry strictly decreasing
-    cells (coordinate order is descending in time).
+    With Y_k = X-check_{t_k} - m_k (k < n, Y_0 = 0) the scheme log-price is
+    L-check_T = c + a'Z + Z'SZ in the centred Gaussian Z = (Y, dB), where
+    c = sum_k b(m_k) dt, a = ((b1 + 2 b2 m_k) dt, m_k) and
+    S = [[b2 dt I, I/2], [I/2, 0]].  Cov(Z) has the blocks law.cov, dt I and
+    Cov(Y_k, dB_j) = rho M[j, k] (M the cell-integrated Malliavin table, zero
+    for j >= k).  With P = S Cov(Z) the cumulants are traces (Mathai &
+    Provost 1992),
+
+        k_1 = c + tr P,
+        k_r = 2^(r-1) (r-1)! tr P^r + 2^(r-3) r! a' (P')^(r-2) Cov(Z) a,
+
+    and E[L^N] = sum_j C(N-1, j-1) k_j E[L^(N-j)].  M has a zero diagonal,
+    so tr P = b2 dt tr(law.cov[:n, :n]) and N = 1 builds no 2n x 2n array.
     """
-    out = []
-    for cuts in itertools.product((False, True), repeat=m - 1):
-        sizes = []
-        run = 1
-        for cut in cuts:
-            if cut:
-                sizes.append(run)
-                run = 1
-            else:
-                run += 1
-        sizes.append(run)
-        out.append(tuple(sizes))
-    return out
-
-
-def _descending_tuples(n: int, p: int) -> np.ndarray:
-    """All strictly decreasing p-tuples over 0..n-1 as an (count, p) array."""
-    if p == 1:
-        return np.arange(n, dtype=np.int64)[:, None]
-    a = np.arange(n)
-    mask = np.ones((n,) * p, dtype=bool)
-    for i in range(p - 1):
-        sh_a = [None] * p
-        sh_b = [None] * p
-        sh_a[i] = slice(None)
-        sh_b[i + 1] = slice(None)
-        mask &= a[tuple(sh_a)] > a[tuple(sh_b)]
-    return np.argwhere(mask).astype(np.int64)
-
-
-def _tied_tables(law: SchemeLaw, pmax: int) -> list[np.ndarray]:
-    """T_p[i, k] = int_{cell i} D_s X-check_{t_k} (t_{i+1} - s)^p ds, p <= pmax.
-
-    Expanding (t_{i+1}-s)^p in powers of (t_l - s) reduces each w-kernel term
-    to elementary power integrals; T_0 equals the plain integrated-Malliavin
-    table.
-    """
-    grid = law.grid
-    n = grid.n
-    a = law.params.alpha
-    t = grid.times
-    tl = t[None, :]  # kernel anchors t_l, l = 0..n
-    lo = t[:n, None]  # cell left ends t_i
-    hi = t[1 : n + 1, None]  # cell right ends t_{i+1}
-    out = []
-    for pexp in range(pmax + 1):
-        V = np.zeros((n, n + 1))
-        for rexp in range(pexp + 1):
-            pref = math.comb(pexp, rexp) * (-1.0) ** (pexp - rexp)
-            gap_hi = np.maximum(tl - hi, 0.0)
-            gap_lo = np.maximum(tl - lo, 0.0)
-            bracket = (gap_lo ** (a + rexp) - gap_hi ** (a + rexp)) / (a + rexp)
-            V += pref * gap_hi ** (pexp - rexp) * bracket
-        out.append((law.params.sigma / gamma(a)) * (V @ law.w))
-    return out
-
-
-def _tied_single_factor(tables, c_cells, k_cells, q: int, g: int, dt: float):
-    """Closed-form cell factor for one paired I coordinate inside a tied run.
-
-    The q-1 frozen coordinates above it and g-q below contribute ordered
-    volumes (t_{c+1}-s)^{q-1}/(q-1)! and (s-t_c)^{g-q}/(g-q)!; expanding the
-    latter in (t_{c+1}-s) reduces everything to the T_p tables.
-    """
-    acc = 0.0
-    for j in range(g - q + 1):
-        pref = math.comb(g - q, j) * (-1.0) ** j * dt ** (g - q - j)
-        acc = acc + pref * tables[q - 1 + j][c_cells, k_cells]
-    return acc / (math.factorial(q - 1) * math.factorial(g - q))
-
-
-class _TiedMultiQuad:
-    """Fixed singular quadrature for >= 2 paired I coordinates in one cell.
-
-    For s inside cell c the scheme kernel splits exactly as
-
-        D_s = A * (t_{c+1} - s)^(alpha-1) + R(s),
-
-    with A = (sigma/Gamma(alpha)) w_{c+1,k} and R analytic on the closed
-    cell.  Expanding the product over the d paired coordinates gives 2^d
-    variants, each a nested integral over 0 < y_d < ... < y_1 < 1 whose only
-    non-smooth content is a known power of (1 - y) per level: the level's
-    own edge factor (when its slot is singular) plus the width powers of all
-    levels nested inside it.  Each variant therefore gets its own cascade of
-    Gauss-Jacobi rules with those exact exponents, making every remaining
-    integrand factor analytic and the rule spectrally accurate.  R values at
-    all reference offsets are precomputed as dense tables so the factor for
-    every (cell, targets) combination is a vectorised contraction.
-    """
-
-    def __init__(self, law: SchemeLaw, d: int, npts: int):
-        a = law.params.alpha
-        grid = law.grid
-        n = grid.n
-        t = grid.times
-        sig = law.params.sigma / gamma(a)
-        self.d = d
-        # own-edge coefficient per (cell, target), dt^(a-1) folded in
-        self.edge_coef = sig * law.w[1 : n + 1, :] * grid.dt ** (a - 1.0)
-        self.variants = []
-        cidx = np.arange(n)
-        for sing_flags in itertools.product((True, False), repeat=d):
-            # flags in descending-variable order (top y_1 first)
-            exps = [0.0] * d
-            acc = 0.0
-            for lev in range(d):
-                beta = (a - 1.0) if sing_flags[lev] else 0.0
-                exps[lev] = beta + acc
-                acc = exps[lev] + 1.0
-            x, w = jacobi_rule(npts, exps[d - 1], 0.0, 0.0, 1.0)
-            ys = [x]
-            wts = w
-            for lev in range(d - 2, -1, -1):
-                xr, wr = jacobi_rule(npts, exps[lev], 0.0, 0.0, 1.0)
-                nprev = ys[-1].size
-                ys = [np.repeat(y, npts) for y in ys]
-                parent = ys[-1]
-                # width powers are absorbed into the outer exponents, so no
-                # per-parent rescaling of the weights is needed
-                ys.append(parent + (1.0 - parent) * np.tile(xr, nprev))
-                wts = np.repeat(wts, npts) * np.tile(wr, nprev)
-            ys.reverse()  # ys[0] is the top variable
-            tables = []
-            for lev in range(d):
-                if sing_flags[lev]:
-                    tables.append(None)
-                    continue
-                y = ys[lev]
-                offs = (
-                    t[None, None, :]
-                    - (cidx[None, :, None] + y[:, None, None]) * grid.dt
-                )
-                kern = np.where(
-                    offs > 0.0, np.maximum(offs, 1e-300) ** (a - 1.0), 0.0
-                )
-                kern[:, cidx, cidx + 1] = 0.0  # remove the own-edge term
-                tables.append(sig * np.einsum("rcl,lk->rck", kern, law.w))
-            self.variants.append((sing_flags, ys, wts, tables))
-
-    def factor(self, c_cells, k_lists, ranks, g: int, dt: float):
-        """Vectorised factor over combos for ranks q_1 < ... < q_d."""
-        gaps = [ranks[0] - 1]
-        for i in range(self.d - 1):
-            gaps.append(ranks[i + 1] - ranks[i] - 1)
-        gaps.append(g - ranks[-1])
-        norm = 1.0
-        for gap in gaps:
-            norm *= math.factorial(gap)
-        out = 0.0
-        for sing_flags, ys, wts, tables in self.variants:
-            edges = [1.0 - ys[0]]
-            for i in range(self.d - 1):
-                edges.append(ys[i] - ys[i + 1])
-            edges.append(ys[-1])
-            poly = wts.copy()
-            for gap, edge in zip(gaps, edges):
-                if gap:
-                    poly = poly * edge**gap
-            acc = poly[:, None]
-            for lev, (table, k_cells) in enumerate(zip(tables, k_lists)):
-                if sing_flags[lev]:
-                    acc = acc * self.edge_coef[c_cells, k_cells][None, :]
-                else:
-                    acc = acc * table[:, c_cells, k_cells]
-            out = out + acc.sum(axis=0)
-        return out * dt**g / norm
-
-
-def _word_integral_scheme(
-    word: Word, law: SchemeLaw, p: ModelParams, b: FunctionSpec
-) -> float:
-    """Simplex integral of the word integrand for the scheme.
-
-    The frozen arguments eta(r_i) are constant on grid cells, so the simplex
-    integral is an exact sum over weakly decreasing cell tuples.  Runs of
-    coordinates sharing a cell contribute ordered-volume factors; paired I
-    coordinates integrate their Malliavin kernel against those volumes in
-    closed form (single pairing per cell) or by the fixed singular quadrature
-    (two or more pairings in one cell).
-    """
-    m = word.m
     n = law.n
     dt = law.grid.dt
-    terms = word_terms(word)
-    polys = [t.polynomial(b) for t in terms]
-    if not any(polys):
-        return 0.0
-    mean = law.mean
-    cov = law.cov
-
-    if m == 1:
-        cells = np.arange(n)
-        means = [mean[cells]]
-        covs = {(0, 0): cov[cells, cells]}
-        epart = np.broadcast_to(
-            _eval_poly_moment(polys[0], means, covs), cells.shape
-        )
-        return float(np.sum(epart) * dt)
-
-    need_tables = any(t.pairing for t in terms)
-    tables = _tied_tables(law, m - 1) if need_tables else None
-    multi_quads: dict[int, _TiedMultiQuad] = {}
-
-    total = 0.0
-    for sizes in _tie_patterns(m):
-        ngroups = len(sizes)
-        combos = _descending_tuples(n, ngroups)
-        if combos.size == 0:
-            continue
-        starts = np.cumsum((0,) + sizes[:-1])  # first coordinate of each run
-        group_of = {}
-        for gi, (st, sz) in enumerate(zip(starts, sizes)):
-            for coord in range(st + 1, st + sz + 1):
-                group_of[coord] = gi
-        for chunk in range(0, combos.shape[0], 500_000):
-            block = combos[chunk : chunk + 500_000]
-            cells = [block[:, gi] for gi in range(ngroups)]
-            epart_cache: dict[tuple, np.ndarray] = {}
-            for term, poly in zip(terms, polys):
-                if not poly:
-                    continue
-                svars_by_group: dict[int, list[tuple[int, int]]] = {}
-                skip = False
-                for i, l in term.pairing:
-                    if group_of[i] == group_of[l]:
-                        skip = True  # s lies after the frozen target time
-                        break
-                    svars_by_group.setdefault(group_of[i], []).append((i, l))
-                if skip:
-                    continue
-                factor = np.ones(block.shape[0])
-                for gi, (st, sz) in enumerate(zip(starts, sizes)):
-                    svars = svars_by_group.get(gi, [])
-                    if not svars:
-                        factor = factor * (dt**sz / math.factorial(sz))
-                    elif len(svars) == 1:
-                        i, l = svars[0]
-                        q = i - st
-                        factor = factor * _tied_single_factor(
-                            tables, cells[gi], cells[group_of[l]], q, sz, dt
-                        )
-                    else:
-                        svars = sorted(svars)
-                        d = len(svars)
-                        if d not in multi_quads:
-                            npts = 8 if d == 2 else 6
-                            multi_quads[d] = _TiedMultiQuad(law, d, npts)
-                        ranks = [i - st for i, _ in svars]
-                        k_lists = [cells[group_of[l]] for _, l in svars]
-                        factor = factor * multi_quads[d].factor(
-                            cells[gi], k_lists, ranks, sz, dt
-                        )
-                key = tuple(sorted(poly.items()))
-                if key not in epart_cache:
-                    means = [mean[cells[group_of[i + 1]]] for i in range(m)]
-                    covs = {}
-                    for i in range(m):
-                        for j in range(i, m):
-                            covs[(i, j)] = cov[
-                                cells[group_of[i + 1]], cells[group_of[j + 1]]
-                            ]
-                    epart_cache[key] = _eval_poly_moment(poly, means, covs)
-                total += float(np.sum(factor * epart_cache[key]))
-    return total
+    b0, b1, b2 = (_poly_coefficients(b) + (0.0, 0.0))[:3]
+    m = law.mean[:n]
+    A = law.cov[:n, :n]
+    kappa = [float(np.sum(b0 + b1 * m + b2 * (m * m + np.diag(A)))) * dt]
+    if N >= 2:
+        C = p.rho * cell_integrated_malliavin(law)[:, :n].T  # C[k, j] = Cov(Y_k, dB_j)
+        P = np.empty((2 * n, 2 * n))
+        P[:n, :n] = b2 * dt * A + 0.5 * C.T
+        P[:n, n:] = b2 * dt * C
+        P[:n, n:][np.diag_indices(n)] += 0.5 * dt
+        P[n:, :n] = 0.5 * A
+        P[n:, n:] = 0.5 * C
+        a_y = (b1 + 2.0 * b2 * m) * dt
+        a = np.concatenate((a_y, m))
+        u = np.concatenate((A @ a_y + C @ m, C.T @ a_y + dt * m))  # Cov(Z) a
+        factors = {2: (P, P)}  # tr P^r = tr(X Y) for the pair at r
+        if N >= 3:
+            P2 = P @ P
+            factors.update({3: (P2, P), 4: (P2, P2)})
+        for r in range(2, N + 1):
+            trace = float(np.einsum("ij,ji->", *factors[r]))
+            kappa.append(
+                2.0 ** (r - 1) * math.factorial(r - 1) * trace
+                + 2.0 ** (r - 3) * math.factorial(r) * float(a @ u)
+            )
+            u = P.T @ u
+    raw = [1.0]  # raw[k] = E[L^k]
+    for k in range(1, N + 1):
+        raw.append(sum(math.comb(k - 1, j) * kappa[j] * raw[k - 1 - j] for j in range(k)))
+    return raw[N]
 
 
 # --------------------------------------------------------------------------
@@ -866,10 +646,16 @@ def moment_via_words(
     grid: TimeGrid | None = None,
     detail: bool = False,
 ):
-    """E[L_T^N] (exact) or E[(L-check_T)^N] (scheme) by the word expansion.
+    """E[L_T^N] (exact) or E[(L-check_T)^N] (scheme), N in 1..4.
 
     Restricted to f(x) = x, polynomial drift b of degree <= 2 and L0 = 0.
-    With ``detail=True`` returns (total, {word string: contribution}).
+    The exact branch sums the word expansion; with ``detail=True`` it returns
+    (total, {word string: contribution}).  The scheme branch takes the
+    cumulants of the scheme log-price as one Gaussian quadratic form in the
+    2n scheme variables (``_scheme_moment``), so it has no per-word view:
+    ``detail=True`` is refused there, and N >= 2 caps the grid at
+    n <= 2048, where each 2n x 2n array is 128 MB (N = 1 keeps the scheme
+    law's n <= 4096).
     """
     words = enumerate_words(N)  # validates N
     _poly_coefficients(b)  # validates b
@@ -877,30 +663,24 @@ def moment_via_words(
         raise ValidationError("moment_via_words: the expansion assumes L0 = 0")
     if which not in ("exact", "scheme"):
         raise ValidationError(f"moment_via_words: unknown which={which!r}")
-    law = None
     if which == "scheme":
         if grid is None:
             raise ValidationError("moment_via_words: which='scheme' needs a grid")
-        cap = _SCHEME_N_CAP[N]
-        if grid.n > cap:
+        if detail:
+            raise ValidationError("moment_via_words: the scheme branch has no per-word detail")
+        if N >= 2 and grid.n > _MAX_FORM_N:
             raise ValidationError(
-                f"moment_via_words: scheme branch capped at n <= {cap} for N={N}"
+                f"moment_via_words: scheme branch capped at n <= {_MAX_FORM_N} for N >= 2"
             )
-        law = build_scheme_law(grid, p)
+        return _scheme_moment(N, build_scheme_law(grid, p), p, b)
     b_zero = all(c == 0.0 for c in _poly_coefficients(b))
     contributions: dict[str, float] = {}
     for word in words:
         if b_zero and "K" in word.letters:
             contributions[str(word)] = 0.0
             continue
-        if which == "exact":
-            raw = _word_integral_exact(word, p, b)
-        else:
-            raw = _word_integral_scheme(word, law, p, b)
-        contributions[str(word)] = word.constant(p.rho) * raw
-    total = 0.0
-    for word in words:
-        total += contributions[str(word)]
+        contributions[str(word)] = word.constant(p.rho) * _word_integral_exact(word, p, b)
+    total = sum(contributions.values())  # canonical word order
     if detail:
         return total, contributions
     return total

@@ -228,18 +228,15 @@ def malliavin_scheme(s: float, k: int, law: SchemeLaw) -> float:
 def cell_integrated_malliavin(law: SchemeLaw) -> np.ndarray:
     """M[i, k] = integral over cell [t_i, t_{i+1}] of D_s Xc_{t_k} ds, exactly.
 
-    Termwise the cell integral of (t_l - s)_+^(a-1) is
-    ((t_l - t_i)_+^a - (t_l - t_{i+1})_+^a)/a, so M = (sigma/Gamma(a+1)) P w
-    with P that difference table.  Shape (n, n+1); rows i >= k are zero.
+    Termwise the cell integral of (t_l - s)_+^(a-1)/Gamma(a) is the cell
+    weight c_{i,l} = d[l-i], so M[i, k] = sigma sum_l d[l-i] omega_{k-l}: one
+    Toeplitz table of the convolution d * omega.  Shape (n, n+1); rows
+    i >= k are zero.
     """
-    p = law.params
-    a = p.alpha
-    t = law.grid.times
     n = law.n
-    gap_lo = np.maximum(t[None, :] - t[:n, None], 0.0)  # t_l - t_i
-    gap_hi = np.maximum(t[None, :] - t[1 : n + 1, None], 0.0)  # t_l - t_{i+1}
-    P = gap_lo**a - gap_hi**a
-    return (p.sigma / gamma(a + 1.0)) * (P @ law.w)
+    d = c_weight_diffs(law.grid, law.params.alpha)
+    omega = law.w[1, 1:]  # omega_0..omega_{n-1}: d[0] = 0 needs no omega_n
+    return law.params.sigma * toeplitz_upper(np.convolve(d, omega)[: n + 1])[:n]
 
 
 @functools.lru_cache(maxsize=8)

@@ -215,6 +215,21 @@ def test_exact_law_marginal_table(tmp_path):
     assert lines[1] == "0.0,0.4,0.0"
 
 
+def test_scheme_moment_writes_only_the_total(tmp_path, capsys):
+    argv = ["moment", "--alpha", "0.75", "--which", "scheme", "--order", "4"]
+    assert run(argv + ["--n", "128", "--out", str(tmp_path)]) == 0
+    lines = read(tmp_path / "moment.csv").decode().splitlines()
+    assert lines[0] == "word,contribution"
+    assert len(lines) == 2 and lines[1].startswith("total,")
+    data = json.loads(read(tmp_path / "moment.json"))
+    assert data["results"]["n"] == 128
+    assert float(lines[1].split(",")[1]) == data["results"]["total"]
+    # N >= 2 refuses n > 2048 before any law is built
+    assert run(argv + ["--n", "2049", "--out", str(tmp_path / "big")]) == 1
+    assert "n <= 2048" in capsys.readouterr().err
+    assert not (tmp_path / "big").exists()
+
+
 def test_help_exits_zero():
     with pytest.raises(SystemExit) as exc:
         run(["--help"])

@@ -4,10 +4,13 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from roughvol import (
     FunctionSpec,
     GaussianLaw,
+    ModelParams,
     TimeGrid,
     ValidationError,
     build_scheme_law,
@@ -158,20 +161,32 @@ def brute_scheme_moment(N, p, grid, b):
     return gaussian_moment(_poly_pow(increment, N, dim), joint)
 
 
-@pytest.mark.parametrize("N", [2, 3])
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
 @pytest.mark.parametrize("b", [B_ZERO, B_POLY], ids=["b0", "bpoly"])
 def test_scheme_words_match_brute_force(params, N, b):
     grid = TimeGrid(4, params.T)
     got = moment_via_words(N, params, b, which="scheme", grid=grid)
     ref = brute_scheme_moment(N, params, grid, b)
-    assert got == pytest.approx(ref, rel=1e-10, abs=1e-12)
+    assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
-def test_scheme_words_match_brute_force_quartic(params):
-    grid = TimeGrid(4, params.T)
-    got = moment_via_words(4, params, B_ZERO, which="scheme", grid=grid)
-    ref = brute_scheme_moment(4, params, grid, B_ZERO)
-    assert got == pytest.approx(ref, rel=1e-9)
+@settings(max_examples=25, deadline=None)
+@given(
+    alpha=st.sampled_from([0.5001, 0.51, 1.0]) | st.floats(0.5001, 1.0),
+    rho=st.sampled_from([-1.0, 0.0, 1.0]) | st.floats(-1.0, 1.0),
+    kappa2=st.sampled_from([0.0, -5.0, 1.0]) | st.floats(-5.0, 1.0),
+    n=st.integers(2, 4),
+    N=st.integers(1, 4),
+    b=st.sampled_from([B_ZERO, B_POLY]),
+)
+def test_scheme_moment_matches_brute_force_at_edges(alpha, rho, kappa2, n, N, b):
+    # alpha -> 1/2+, alpha = 1, kappa2 = 0 and |rho| = 1 are drawn first
+    p = ModelParams(x0=0.2, kappa1=0.3, kappa2=kappa2, sigma=1.0, rho=rho, alpha=alpha, T=1.0)
+    grid = TimeGrid(n, p.T)
+    got = moment_via_words(N, p, b, which="scheme", grid=grid)
+    ref = brute_scheme_moment(N, p, grid, b)
+    scale = brute_scheme_moment(2, p, grid, b) ** (N / 2)  # odd moments may cancel to 0
+    assert got == pytest.approx(ref, rel=1e-12, abs=1e-13 * scale)
 
 
 # ----------------------------------------------------- first two moments ----
@@ -316,8 +331,8 @@ def test_rho_flip_symmetry(params):
 
 
 def test_exact_branch_is_scheme_limit(params):
-    # the two branches use disjoint machinery (continuum quadrature vs tied
-    # grid tables); the scheme value must approach the exact one as n grows
+    # the two branches use disjoint machinery (continuum quadrature vs one
+    # grid quadratic form); the scheme value must approach the exact one as n grows
     exact = moment_via_words(2, params, B_POLY)
     e64 = abs(moment_via_words(2, params, B_POLY, which="scheme", grid=TimeGrid(64, 1.0)) - exact)
     e256 = abs(moment_via_words(2, params, B_POLY, which="scheme", grid=TimeGrid(256, 1.0)) - exact)
@@ -337,9 +352,13 @@ def test_word_detail_decomposition(params):
 def test_moment_via_words_validation(params):
     with pytest.raises(ValidationError):
         moment_via_words(3, params, B_ZERO, which="scheme")  # grid missing
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError):  # the 2n x 2n form caps N >= 2 at n <= 2048
         moment_via_words(
-            3, params, B_ZERO, which="scheme", grid=TimeGrid(512, params.T)
+            3, params, B_ZERO, which="scheme", grid=TimeGrid(2049, params.T)
+        )
+    with pytest.raises(ValidationError):  # one quadratic form: no per-word view
+        moment_via_words(
+            3, params, B_ZERO, which="scheme", grid=TimeGrid(8, params.T), detail=True
         )
     with pytest.raises(ValidationError):
         moment_via_words(2, params, FunctionSpec("exponential-affine", (1.0, 1.0)))

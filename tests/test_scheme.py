@@ -219,6 +219,20 @@ def test_cell_integrated_malliavin_closed_form(params):
     assert M[5, 6] == pytest.approx(
         params.sigma * g.dt**params.alpha / math.gamma(params.alpha + 1.0), rel=1e-12
     )
+    # far entry on a fine grid against a 40-digit sum: sigma sum_l c_{i,l} omega_{k-l}
+    # with c_{i,l} = dt^a ((l-i)^a - (l-i-1)^a)/Gamma(a+1) and omega the resolvent
+    p = dataclasses.replace(params, alpha=0.55)
+    n, i, k = 1024, 3, 1000
+    M = cell_integrated_malliavin(build_scheme_law(TimeGrid(n, p.T), p))
+    with mp.workdps(40):
+        a, dt = mp.mpf(p.alpha), mp.mpf(p.T) / n
+        g = mp.gamma(a + 1)
+        d = [0] + [dt**a * (mp.mpf(j) ** a - mp.mpf(j - 1) ** a) / g for j in range(1, k - i + 1)]
+        omega = [mp.mpf(1)]
+        for m in range(1, k - i):
+            omega.append(p.kappa2 * mp.fdot(d[m:0:-1], omega))
+        ref = p.sigma * mp.fdot(d[1:], omega[::-1])
+    assert M[i, k] == pytest.approx(float(ref), rel=1e-14, abs=0.0)
 
 
 # -------------------------------------------------------------- sampling ----
