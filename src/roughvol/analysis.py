@@ -13,8 +13,8 @@ terminal-variance defect of the naive scheme that evaluates (rather than
 integrates) the fractional kernel on each cell; the defect decays only like
 n^{1-2a}, with constant -zeta(2-2a) T^{2a-1} / Gamma(a)^2 (positive, since
 zeta < 0 on (0,1)).  ``strong_error_exact`` evaluates the L^2 distance
-sqrt(Var(X_T - Xc_T)) from the two covariances and a cross term integrated
-by per-cell Gauss-Jacobi rules.
+sqrt(Var(X_T - Xc_T)) as one integral of the squared kernel difference, by
+per-cell Gauss rules on the resolvent's cell tails, without the scheme law.
 
 ``mc_weak_error`` is the only stochastic tool: a common-random-numbers
 comparison of a coarse and a fine scheme driven by one shared fine driver,
@@ -41,10 +41,10 @@ from .exact_law import (
     cov_exact,
     mean_exact,
 )
-from .kernels import TimeGrid, jacobi_rule, legendre_rule
+from .kernels import TimeGrid, _cell_tails, jacobi_rule, legendre_rule
 from .moments import cubic_exact, cubic_scheme
-from .scheme import FunctionSpec, _driver_draws, _driver_factor, _propagate, _resolvent
-from .scheme import build_scheme_law
+from .scheme import FunctionSpec, _check_law_grid, _driver_draws, _driver_factor, _propagate
+from .scheme import _resolvent, build_scheme_law
 from .specfun import gamma
 
 _QUANTITIES = ("mean_X", "var_X", "cov_X", "cubic_L")
@@ -342,42 +342,39 @@ def strong_error_exact(
     int_0^T (D_s X_T - D_s Xc_T)^2 ds; the fused form is evaluated so that
     the cancellation between the three terms (relative size ~ n^{-3/2} at
     alpha = 3/4) happens inside each cell instead of between quadratures.
-    On cell i the scheme kernel splits into its own-edge spike
-    c_i (t_{i+1}-s)^{a-1} with c_i = sigma w_{i+1,n}/Gamma(a) plus a smooth
-    tail, leaving three pieces: a Gauss-Legendre integral of the smooth
-    difference squared, a Gauss-Jacobi cross integral against the
-    w-expansion spike, and the spike square dt^{2a-1}/(2a-1) in closed
-    form.  On the last cell the exact and scheme spikes cancel exactly
-    (w_{n,n} = 1) and the remainder integrates as a Mittag-Leffler double
-    series.  Every piece converges spectrally or is exact, uniformly in n.
+    On cell i, p = n - i cells back, the scheme kernel splits into its
+    own-edge spike c_p (t_{i+1}-s)^{a-1}, c_p = sigma omega_{p-1}/Gamma(a),
+    plus the smooth tail r_p of ``kernels._cell_tails``, leaving three
+    pieces: a Gauss-Legendre integral of the smooth difference squared, a
+    Gauss-Jacobi cross integral against the spike, and the spike square
+    dt^{2a-1}/(2a-1) in closed form.  On the last cell the exact and scheme
+    spikes cancel exactly (omega_0 = 1) and the remainder integrates as a
+    Mittag-Leffler double series.  Every piece converges spectrally or is
+    exact, uniformly in n.
 
     Returns exactly 0 when kappa2 = 0 (the scheme then reproduces X).
-    A variance below -1e-10 times its scale raises ConvergenceError.
+    A variance below -1e-10 raises ConvergenceError.
     """
     if p.kappa2_is_zero:
         return 0.0
-    law = build_scheme_law(grid, p)
-    n, T = grid.n, grid.T
-    a = p.alpha
-    dt = grid.dt
-    t = grid.times
-    wcol = law.w[:, n]
+    _check_law_grid("strong_error_exact", grid, p)
+    n, a, dt = grid.n, p.alpha, grid.dt
+    omega, _ = _resolvent(grid, p)
     sgam = p.sigma / gamma(a)
-    spike_sq = dt ** (2.0 * a - 1.0) / (2.0 * a - 1.0)
-    xl, wl = legendre_rule(npts, 0.0, dt)
-    xj, wj = jacobi_rule(npts, a - 1.0, 0.0, 0.0, dt)
-    x = t[: n - 1, None] + np.concatenate((xl, xj))  # row i: cell i's nodes
-    kern = _malliavin_kernel_array(p, T - x)  # one call for every cell
-    var_diff = 0.0
-    for i in range(n - 1):
-        c_i = sgam * wcol[i + 1]
-        t_tail = t[i + 2 : n + 1, None]
-        w_tail = wcol[i + 2 : n + 1]
-        g = kern[i] - sgam * (w_tail @ (t_tail - x[i]) ** (a - 1.0))
-        g_l, g_j = g[:npts], g[npts:]
-        var_diff += float(wl @ g_l**2) - 2.0 * c_i * float(wj @ g_j) + c_i * c_i * spike_sq
-    var_diff += _last_cell_difference_sq(p, dt)
-    if var_diff < -_VAR_CLAMP * max(abs(float(law.cov[n, n])), 1.0):
+    ul, wl = legendre_rule(npts, 0.0, 1.0)
+    uj, wj = jacobi_rule(npts, a - 1.0, 0.0, 0.0, 1.0)
+    u = np.concatenate((ul, uj))
+    lag = np.arange(2.0, n + 1.0)[:, None]  # row p-2 is cell i = n - p
+    g = _malliavin_kernel_array(p, dt * (lag - u))
+    g -= sgam * dt ** (a - 1.0) * _cell_tails(omega[:n], a, u)[1:]
+    c = sgam * omega[1:n]
+    per_cell = (
+        dt * (g[:, :npts] ** 2 @ wl)
+        - 2.0 * dt**a * c * (g[:, npts:] @ wj)
+        + c * c * dt ** (2.0 * a - 1.0) / (2.0 * a - 1.0)
+    )
+    var_diff = float(per_cell.sum()) + _last_cell_difference_sq(p, dt)
+    if var_diff < -_VAR_CLAMP:
         raise ConvergenceError(
             f"strong_error_exact: fused quadrature gave negative variance {var_diff:.3e}"
         )

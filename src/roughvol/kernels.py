@@ -68,15 +68,6 @@ class TimeGrid:
     def dt(self) -> float:
         return self.T / self.n
 
-    def eta(self, s):
-        """Left grid point of the cell containing s: eta(s) = t_k on [t_k, t_{k+1})."""
-        s_arr = np.asarray(s, dtype=float)
-        if np.any(s_arr < 0.0) or np.any(s_arr > self.T):
-            raise ValidationError("eta: argument outside [0, T]")
-        idx = np.minimum(np.floor(s_arr / self.dt), self.n - 1).astype(int)
-        out = idx * self.dt
-        return float(out) if np.isscalar(s) or s_arr.ndim == 0 else out
-
 
 def _check_alpha(alpha: float) -> float:
     alpha = float(alpha)
@@ -183,11 +174,7 @@ def cross_kernel_table(grid: TimeGrid, alpha: float, omega=None) -> np.ndarray:
     spike = np.eye(1, n)[0] if omega is None else np.asarray(omega, dtype=float)[:n]
     uj, wj = jacobi_rule(_CELL_NODES, alpha - 1.0, 0.0, 0.0, 1.0)
     ul, wl = legendre_rule(_CELL_NODES, 0.0, 1.0)
-    # r[p-1] = r_p = sum_{m=2..p} omega_{p-m} (m-u)^(a-1) at the Jacobi,
-    # then the Legendre nodes; m = 1 is the spike
-    F = (np.arange(1.0, n + 1.0)[:, None] - np.concatenate((uj, ul))) ** (alpha - 1.0)
-    F[0] = 0.0
-    r = toeplitz_upper(spike).T @ F
+    r = _cell_tails(spike, alpha, np.concatenate((uj, ul)))
     rl = r[:, _CELL_NODES:]
     jac = r[:, :_CELL_NODES] @ wj
     # H = spike spike^T/(2a-1) + spike jac^T + jac spike^T + rl diag(wl) rl^T
@@ -196,6 +183,17 @@ def cross_kernel_table(grid: TimeGrid, alpha: float, omega=None) -> np.ndarray:
     K = np.zeros((n + 1, n + 1))
     K[1:, 1:] = (grid.dt ** (2.0 * alpha - 1.0) * left) @ right.T
     return _diagonal_cumsum(K)
+
+
+def _cell_tails(omega, alpha: float, u) -> np.ndarray:
+    """r[p-1] = r_p(u) = sum_{m=2..p} omega_{p-m} (m-u)^(a-1), p = 1..len(omega).
+
+    On the cell p cells back, the omega-weighted kernel sum is the spike
+    omega_{p-1} (1-u)^(a-1) (m = 1) plus this tail, analytic on u < 2.
+    """
+    F = (np.arange(1.0, len(omega) + 1.0)[:, None] - u) ** (alpha - 1.0)
+    F[0] = 0.0
+    return toeplitz_upper(omega).T @ F
 
 
 def _diagonal_cumsum(K: np.ndarray) -> np.ndarray:

@@ -21,7 +21,8 @@ of E_{a,a} in the exact law):
 
 On cell l, D_s Xc_{t_k} depends on k - l alone, so cov is a diagonal
 cumulative sum of one per-cell Gram matrix (``cross_kernel_table``).  Both
-are O(n^2); the law is capped at n <= 4096 and path sampling at n <= 2048.
+are O(n^2); the law is capped at n <= 4096.  Path sampling factors the
+driver law blockwise (one n x n Schur complement) and is capped at n <= 2048.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, ValidationError
-from .exact_law import _BLOCK_SIZE, ModelParams, _blocks, _cholesky_psd, driver_law
-from .kernels import TimeGrid, c_weight_diffs, cross_kernel_table, toeplitz_upper
+from .exact_law import _BLOCK_SIZE, ModelParams, _blocks
+from .kernels import TimeGrid, c_matrix, c_weight_diffs, cross_kernel_table, toeplitz_upper
 from .specfun import gamma
 
 __all__ = [
@@ -47,7 +48,7 @@ __all__ = [
 ]
 
 _MAX_N = 4096
-_MAX_SAMPLE_N = 2048  # the driver law is (2n)^2: 128 MB at the cap, 512 MB at 4096
+_MAX_SAMPLE_N = 2048  # O(n^3) driver factor; its n x 2n G rows are 64 MB at the cap
 _KINDS = ("constant", "affine", "polynomial", "exponential-affine")
 _ROLES = ("drift", "diffusion", "test")
 
@@ -57,9 +58,7 @@ class FunctionSpec:
     """A coefficient function: constant, affine, polynomial, or c0*exp(c1*x).
 
     ``coefficients`` are ascending-degree for the polynomial kinds and
-    (amplitude, growth) for exponential-affine.  ``value(x, deriv)`` gives
-    derivatives up to order 3; ``growth`` is the exponential growth bound
-    |c1| (0 for polynomials), used by the path sampler's overflow guard.
+    (amplitude, growth) for exponential-affine.
     """
 
     kind: str
@@ -103,10 +102,6 @@ class FunctionSpec:
     def is_polynomial(self) -> bool:
         return self.kind != "exponential-affine"
 
-    @property
-    def growth(self) -> float:
-        return abs(self.coefficients[1]) if self.kind == "exponential-affine" else 0.0
-
     def poly_coefficients(self) -> tuple:
         if not self.is_polynomial:
             raise ValidationError("exponential-affine spec has no polynomial coefficients")
@@ -121,21 +116,14 @@ class FunctionSpec:
         f1 = coeffs[1] if len(coeffs) > 1 else 0.0
         return f0, f1
 
-    def value(self, x, deriv: int = 0):
-        """d^deriv/dx^deriv of the function, elementwise over x; deriv in 0..3."""
-        if deriv not in (0, 1, 2, 3):
-            raise ValidationError(f"FunctionSpec.value: deriv must be 0..3, got {deriv}")
+    def value(self, x):
+        """The function, elementwise over x."""
         x = np.asarray(x, dtype=float)
         if self.kind == "exponential-affine":
             c0, c1 = self.coefficients
-            return c0 * c1**deriv * np.exp(c1 * x)
-        coeffs = self.coefficients
-        for _ in range(deriv):
-            coeffs = tuple((k + 1) * c for k, c in enumerate(coeffs[1:]))
-        if not coeffs:
-            return np.zeros_like(x)
-        acc = np.full_like(x, coeffs[-1])
-        for c in coeffs[-2::-1]:
+            return c0 * np.exp(c1 * x)
+        acc = np.full_like(x, self.coefficients[-1])
+        for c in self.coefficients[-2::-1]:
             acc = acc * x + c
         return acc
 
@@ -178,6 +166,14 @@ def _resolvent(grid: TimeGrid, p: ModelParams):
     return omega, mean
 
 
+def _check_law_grid(who: str, grid: TimeGrid, p: ModelParams) -> None:
+    """n within the scheme-law cap and the grid horizon equal to the model's."""
+    if grid.n > _MAX_N:
+        raise ValidationError(f"{who}: n <= {_MAX_N}, got {grid.n}")
+    if abs(grid.T - p.T) > 1e-12 * max(1.0, abs(p.T)):
+        raise ValidationError(f"{who}: grid horizon {grid.T} != model horizon {p.T}")
+
+
 def build_scheme_law(grid: TimeGrid, p: ModelParams) -> SchemeLaw:
     """Mean, Malliavin weight table, and full covariance of the scheme.
 
@@ -185,13 +181,7 @@ def build_scheme_law(grid: TimeGrid, p: ModelParams) -> SchemeLaw:
     times the cell-quadrature table ``cross_kernel_table(grid, a, omega)``;
     both are O(n^2) and n is capped at 4096.
     """
-    n = grid.n
-    if n > _MAX_N:
-        raise ValidationError(f"build_scheme_law: n <= {_MAX_N}, got {n}")
-    if abs(grid.T - p.T) > 1e-12 * max(1.0, abs(p.T)):
-        raise ValidationError(
-            f"build_scheme_law: grid horizon {grid.T} != model horizon {p.T}"
-        )
+    _check_law_grid("build_scheme_law", grid, p)
     a = p.alpha
     omega, mean = _resolvent(grid, p)
     w = toeplitz_upper(omega)
@@ -243,14 +233,27 @@ def cell_integrated_malliavin(law: SchemeLaw) -> np.ndarray:
 def _driver_factor(p: ModelParams, grid: TimeGrid):
     """(diag L[:n, :n], L[n:]) of the driver law's Cholesky factor L, cached.
 
-    The dW block of the law is dt I, so the dW rows of L are diagonal.  The
-    law is 2n x 2n, so n is capped before it is built.
+    The law of (dW, G) is [[dt I, C], [C^T, Gamma_G]] with C the cell
+    weights, so L = [[sqrt(dt) I, 0], [C^T/sqrt(dt), chol(S)]], S = Gamma_G -
+    C^T C/dt = Cov(G | dW).  S is exactly 0 at alpha = 1 (G is the Brownian
+    path); below 1 a failed Cholesky of S raises ConvergenceError.  The G
+    rows are n x 2n, so n is capped before they are built.
     """
     n = grid.n
     if n > _MAX_SAMPLE_N:
         raise ValidationError(f"path sampling: n <= {_MAX_SAMPLE_N}, got {n}")
-    L = _cholesky_psd(driver_law(p, grid).cov)
-    return np.diag(L)[:n].copy(), L[n:].copy()
+    a, dt = p.alpha, grid.dt
+    ct = c_matrix(grid, a)[:n, 1:].T / math.sqrt(dt)
+    chol_s = np.zeros((n, n))
+    if a < 1.0:
+        schur = cross_kernel_table(grid, a)[1:, 1:] / gamma(a) ** 2 - ct @ ct.T
+        try:
+            chol_s = np.linalg.cholesky(schur)
+        except np.linalg.LinAlgError:
+            raise ConvergenceError(
+                f"driver factor: Cov(G | dW) is not positive definite at alpha={a}, n={n}"
+            ) from None
+    return np.full(n, math.sqrt(dt)), np.hstack((ct, chol_s))
 
 
 def _driver_draws(rng: np.random.Generator, factor, count: int):
@@ -304,7 +307,8 @@ def sample_scheme_paths(
     block_size).
 
     The driver (dW, G) is drawn exactly from its joint Gaussian law (one
-    cached Cholesky factor per grid, n <= 2048), the orthogonal Brownian part
+    cached block Cholesky factor per grid, n <= 2048; ConvergenceError where
+    Cov(G | dW) is numerically singular below alpha = 1), the orthogonal Brownian part
     is an independent substream, and dB = rho dW + sqrt(1-rho^2) dW_perp.
     The Xc marginal is then *exactly* the SchemeLaw Gaussian -- the only
     discretisation is the scheme itself.

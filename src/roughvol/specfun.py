@@ -159,7 +159,7 @@ def _ml_positive(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
 @functools.lru_cache(maxsize=64)
 def _ml_series_coef(alpha: float, beta: float) -> np.ndarray:
     """Read-only 1/Gamma(a i + b), i < _ML_HORNER_TERMS: cached, because
-    callers such as strong_error_exact make one ml_array call per cell."""
+    the law and error routines call ml_array once per grid, many times a run."""
     coef = rgamma(alpha * np.arange(_ML_HORNER_TERMS) + beta)
     coef.setflags(write=False)
     return coef

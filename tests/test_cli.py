@@ -252,6 +252,8 @@ def test_cli_at_nonpositive_kappa2_leaves_scipy_unloaded(tmp_path):
         ["moment", "--which", "exact", "--order", "2", "--b", "poly:0.1,0,0.3"],
         ["scheme-law", "--n", "64"],
         ["sample", "--n", "32", "--paths", "256"],
+        ["strong-rate", "--n", "8,16,32,64"],
+        ["mc", "--n", "8,16", "--paths", "256", "--phi", "poly:0,0,0,1"],
     ]
     argvs = [op + ["--alpha", "0.75", "--kappa2", "-1", "--out", str(tmp_path)] for op in ops]
     code = (

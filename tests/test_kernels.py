@@ -29,18 +29,6 @@ def test_grid_basics():
     np.testing.assert_allclose(np.diff(g.times), g.dt)
 
 
-def test_grid_eta():
-    g = TimeGrid(4, 1.0)
-    # left endpoint of the cell containing s; s = T falls in the last cell
-    assert g.eta(0.0) == 0.0
-    assert g.eta(0.26) == pytest.approx(0.25)
-    assert g.eta(0.5) == pytest.approx(0.5)
-    assert g.eta(0.999) == pytest.approx(0.75)
-    assert g.eta(1.0) == pytest.approx(0.75)
-    with pytest.raises(ValidationError):
-        g.eta(1.2)
-
-
 def test_grid_validation():
     with pytest.raises(ValidationError):
         TimeGrid(0, 1.0)
