@@ -31,9 +31,13 @@ integral L_t = L0 + int_0^t b(X) du + int_0^t f(X) dB:
 
   The engine is restricted to f(x) = x and polynomial b of degree <= 2, so
   every inner expectation is a polynomial moment of a Gaussian vector and
-  is evaluated exactly by ``gaussian_moment``'s Isserlis expansion.  Word
-  contributions are evaluated and summed in canonical word order (shorter
-  words first, then lexicographic), so results are bit-stable.
+  is evaluated exactly by ``gaussian_moment``'s Isserlis expansion.  Words
+  of one length share one tensor node mesh, on which every mean and
+  covariance the words read is evaluated once per call; each word then
+  integrates over its own sub-grid of that mesh, with its own weights, so
+  sharing changes no word's quadrature.  Contributions are summed in
+  canonical word order (shorter words first, then lexicographic), so
+  results are bit-stable.
 
   The scheme branch needs no words: with frozen arguments the scheme
   log-price is exactly a quadratic form c + a'Z + Z'SZ in the 2n jointly
@@ -507,74 +511,96 @@ def _diff(poly, axis):
 # --------------------------------------------------------------------------
 
 
-def _word_integral_exact(word: Word, p: ModelParams, b: FunctionSpec) -> float:
-    """Simplex integral of the word integrand for the continuous model.
+def _word_integrals_exact(
+    words: Sequence[Word], p: ModelParams, b: FunctionSpec
+) -> dict[Word, float]:
+    """Simplex integrals of the word integrands for the continuous model.
 
     Nested substitution r_1 in (0, T), r_d = r_{d-1} u_d flattens the
     descending simplex onto a box.  An adjacent Malliavin pair (l, l+1)
     contributes exactly (1 - u_{l+1})^{alpha-1}, absorbed by a Gauss-Jacobi
     panel at the u = 1 end; non-adjacent pairs are only corner-singular and
     geometric panel grading toward u = 1 resolves them.
+
+    Words of one length m share one node mesh.  Dimension 1 is the same
+    rule for all of them; each u-dimension d >= 2 holds the common panels
+    and then the Legendre and/or Jacobi variant of its last panel, as the
+    words need.  mean(r_i) depends on dimensions 1..i+1 and Cov(r_j, r_i),
+    j >= i, on dimensions 1..j+1 only, so each is evaluated once, on that
+    leading sub-mesh, and broadcast over the rest.  Each word then reads its
+    own sub-grid through ``np.ix_`` with its own weights, Jacobi
+    compensators and Malliavin factors: the quadrature per word is the one
+    of a mesh built for that word alone.
     """
-    m = word.m
-    terms = word_terms(word)
-    polys = [t.polynomial(b) for t in terms]
-    if not any(polys):
-        return 0.0
-    jacobi_dims = {
-        i for t in terms for (i, l) in t.pairing if l == i - 1
-    }  # coordinate i>=2 whose u-dimension carries the exact (1-u)^(a-1) factor
-    lev1, n1, levu, nu = _EXACT_BUDGET[m]
-    a = p.alpha
-
-    x, w = _panel_rule(graded_panels(0.0, p.T, lev1, toward="both"), n1)
-    nodes_by_dim, weights_by_dim, comp_by_dim = [x], [w], [np.ones_like(x)]
-    for d in range(2, m + 1):
-        panels = graded_panels(0.0, 1.0, levu, toward="hi")
-        xs, ws, comps = [], [], []
-        for idx, (lo, hi) in enumerate(panels):
-            last = idx == len(panels) - 1
-            if last and d in jacobi_dims:
-                x, w = jacobi_rule(nu, a - 1.0, 0.0, lo, hi)
-                comp = (1.0 - x) ** (1.0 - a)
-            else:
-                x, w = legendre_rule(nu, lo, hi)
-                comp = np.ones_like(x)
-            xs.append(x)
-            ws.append(w)
-            comps.append(comp)
-        nodes_by_dim.append(np.concatenate(xs))
-        weights_by_dim.append(np.concatenate(ws))
-        comp_by_dim.append(np.concatenate(comps))
-
-    mesh = np.meshgrid(*nodes_by_dim, indexing="ij")
-    wmesh = np.meshgrid(*weights_by_dim, indexing="ij")
-    cmesh = np.meshgrid(*comp_by_dim, indexing="ij")
-    r = [mesh[0].ravel()]
-    for d in range(1, m):
-        r.append(r[d - 1] * mesh[d].ravel())
-    wtot = np.ones_like(r[0])
-    for d in range(m):
-        wtot = wtot * wmesh[d].ravel() * cmesh[d].ravel()
-    for d in range(1, m):
-        wtot = wtot * r[d - 1]  # Jacobian of r_d = r_{d-1} u_d
-
-    means = [_mean_many(p, r[i]) for i in range(m)]
-    covs: dict[tuple[int, int], np.ndarray] = {}
-    for i in range(m):
-        for j in range(i, m):
-            covs[(i, j)] = _cov_pairs(p, r[j], r[i])  # r_j <= r_i for j >= i
-
-    total = 0.0
-    for term, poly in zip(terms, polys):
-        if not poly:
+    by_m: dict[int, list] = {}
+    out: dict[Word, float] = {}
+    for word in words:
+        terms = word_terms(word)
+        polys = [t.polynomial(b) for t in terms]
+        if not any(polys):
+            out[word] = 0.0
             continue
-        dfac = wtot
-        for i, l in term.pairing:
-            dfac = dfac * _malliavin_kernel_array(p, r[l - 1] - r[i - 1])
-        epart = _eval_poly_moment(poly, means, covs)
-        total += float(np.sum(dfac * epart))
-    return total
+        jacobi_dims = {
+            i for t in terms for (i, l) in t.pairing if l == i - 1
+        }  # coordinate i>=2 whose u-dimension carries the exact (1-u)^(a-1) factor
+        by_m.setdefault(word.m, []).append((word, terms, polys, jacobi_dims))
+    a = p.alpha
+    for m, live in by_m.items():
+        lev1, n1, levu, nu = _EXACT_BUDGET[m]
+        x, w = _panel_rule(graded_panels(0.0, p.T, lev1, toward="both"), n1)
+        nodes, weights, comps = [x], [w], [np.ones_like(x)]
+        index = {word: [np.arange(x.size)] for word, *_ in live}
+        for d in range(2, m + 1):
+            panels = graded_panels(0.0, 1.0, levu, toward="hi")
+            hx, hw = _panel_rule(panels[:-1], nu)
+            rules = [(hx, hw, np.ones_like(hx))]
+            variants = sorted({d in jd for *_, jd in live})  # last panel: Legendre, Jacobi
+            for jacobi in variants:
+                if jacobi:
+                    xl, wl = jacobi_rule(nu, a - 1.0, 0.0, *panels[-1])
+                    rules.append((xl, wl, (1.0 - xl) ** (1.0 - a)))
+                else:
+                    xl, wl = legendre_rule(nu, *panels[-1])
+                    rules.append((xl, wl, np.ones_like(xl)))
+            for acc, parts in zip((nodes, weights, comps), zip(*rules)):
+                acc.append(np.concatenate(parts))
+            for word, *_, jd in live:
+                lo = hx.size + nu * variants.index(d in jd)
+                index[word].append(np.r_[: hx.size, lo : lo + nu])
+
+        # r[i] holds r_{i+1} on the leading sub-mesh of dimensions 1..i+1
+        r = [nodes[0]]
+        for d in range(1, m):
+            r.append(r[d - 1][..., None] * nodes[d])
+        means = [_mean_many(p, ri) for ri in r]
+        covs: dict[tuple[int, int], np.ndarray] = {}
+        for j in range(m):
+            for i in range(j + 1):
+                # r_{j+1} <= r_{i+1}; r[i] broadcast over dimensions i+2..j+1
+                big = np.broadcast_to(r[i].reshape(r[i].shape + (1,) * (j - i)), r[j].shape)
+                covs[(i, j)] = _cov_pairs(p, r[j].ravel(), big.ravel()).reshape(r[j].shape)
+
+        for word, terms, polys, _ in live:
+            ix = np.ix_(*index[word])  # an array of k leading dimensions reads arr[ix[:k]]
+            rw = [ri[ix[: ri.ndim]] for ri in r]
+            wtot = 1.0
+            for d in range(m):
+                wtot = wtot * weights[d][ix[d]] * comps[d][ix[d]]
+            for d in range(1, m):
+                wtot = wtot * rw[d - 1]  # Jacobian of r_d = r_{d-1} u_d
+            mw = [mi[ix[: mi.ndim]] for mi in means]
+            cw = {key: c[ix[: c.ndim]] for key, c in covs.items()}
+            total = 0.0
+            for term, poly in zip(terms, polys):
+                if not poly:
+                    continue
+                dfac = wtot
+                for i, l in term.pairing:
+                    dfac = dfac * _malliavin_kernel_array(p, rw[l - 1] - rw[i - 1])
+                epart = _eval_poly_moment(poly, mw, cw)
+                total += float(np.sum(dfac * epart))
+            out[word] = total
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -596,8 +622,17 @@ def _scheme_moment(N: int, law: SchemeLaw, p: ModelParams, b: FunctionSpec) -> f
         k_1 = c + tr P,
         k_r = 2^(r-1) (r-1)! tr P^r + 2^(r-3) r! a' (P')^(r-2) Cov(Z) a,
 
-    and E[L^N] = sum_j C(N-1, j-1) k_j E[L^(N-j)].  M has a zero diagonal,
-    so tr P = b2 dt tr(law.cov[:n, :n]) and N = 1 builds no 2n x 2n array.
+    and E[L^N] = sum_j C(N-1, j-1) k_j E[L^(N-j)].  With A = law.cov[:n, :n]
+    and C[k, j] = Cov(Y_k, dB_j) the blocks of P are
+
+        P11 = b2 dt A + C'/2,   P12 = b2 dt C + dt I/2,   P21 = A/2,   P22 = C/2.
+
+    C is strictly lower triangular (M has a zero diagonal), so
+    tr P = b2 dt tr A, and tr P^2 = sum(P11*P11') + 2 sum(P12*P21') +
+    sum(P22*P22') collapses to b2^2 dt^2 <A, A> + 2 b2 dt <A, C> + dt tr A / 2
+    since C*C' = 0 elementwise.  k_2 always comes from these blocks, so
+    N <= 2 builds no 2n x 2n array; N >= 3 forms P and one GEMM P^2 for
+    k_3 and k_4.
     """
     n = law.n
     dt = law.grid.dt
@@ -607,20 +642,27 @@ def _scheme_moment(N: int, law: SchemeLaw, p: ModelParams, b: FunctionSpec) -> f
     kappa = [float(np.sum(b0 + b1 * m + b2 * (m * m + np.diag(A)))) * dt]
     if N >= 2:
         C = p.rho * cell_integrated_malliavin(law)[:, :n].T  # C[k, j] = Cov(Y_k, dB_j)
+        a_y = (b1 + 2.0 * b2 * m) * dt
+        a = np.concatenate((a_y, m))
+        u = np.concatenate((A @ a_y + C @ m, C.T @ a_y + dt * m))  # Cov(Z) a
+        beta = b2 * dt  # tr P^2 from the blocks, as in the docstring
+        trace = (
+            beta * beta * np.einsum("ij,ij->", A, A)
+            + 2.0 * beta * np.einsum("ij,ij->", A, C)
+            + 0.5 * dt * np.trace(A)
+        )
+        kappa.append(2.0 * float(trace) + float(a @ u))
+    if N >= 3:
         P = np.empty((2 * n, 2 * n))
         P[:n, :n] = b2 * dt * A + 0.5 * C.T
         P[:n, n:] = b2 * dt * C
         P[:n, n:][np.diag_indices(n)] += 0.5 * dt
         P[n:, :n] = 0.5 * A
         P[n:, n:] = 0.5 * C
-        a_y = (b1 + 2.0 * b2 * m) * dt
-        a = np.concatenate((a_y, m))
-        u = np.concatenate((A @ a_y + C @ m, C.T @ a_y + dt * m))  # Cov(Z) a
-        factors = {2: (P, P)}  # tr P^r = tr(X Y) for the pair at r
-        if N >= 3:
-            P2 = P @ P
-            factors.update({3: (P2, P), 4: (P2, P2)})
-        for r in range(2, N + 1):
+        P2 = P @ P
+        u = P.T @ u
+        factors = {3: (P2, P), 4: (P2, P2)}  # tr P^r = tr(X Y)
+        for r in range(3, N + 1):
             trace = float(np.einsum("ij,ji->", *factors[r]))
             kappa.append(
                 2.0 ** (r - 1) * math.factorial(r - 1) * trace
@@ -674,12 +716,12 @@ def moment_via_words(
             )
         return _scheme_moment(N, build_scheme_law(grid, p), p, b)
     b_zero = all(c == 0.0 for c in _poly_coefficients(b))
-    contributions: dict[str, float] = {}
-    for word in words:
-        if b_zero and "K" in word.letters:
-            contributions[str(word)] = 0.0
-            continue
-        contributions[str(word)] = word.constant(p.rho) * _word_integral_exact(word, p, b)
+    integrals = _word_integrals_exact(
+        [w for w in words if not (b_zero and "K" in w.letters)], p, b
+    )
+    contributions = {
+        str(w): w.constant(p.rho) * integrals[w] if w in integrals else 0.0 for w in words
+    }
     total = sum(contributions.values())  # canonical word order
     if detail:
         return total, contributions

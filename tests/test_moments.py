@@ -23,6 +23,7 @@ from roughvol import (
     moment_via_words,
     second_moment_L,
 )
+from roughvol import moments
 from roughvol.exact_law import driver_law
 from roughvol.moments import Word
 
@@ -347,6 +348,33 @@ def test_word_detail_decomposition(params):
     for name in ("JK", "KJ", "IIK", "IKK", "KIK", "KKK"):
         assert parts[name] == 0.0  # every K-word vanishes when b = 0
     assert parts["IJ"] != 0.0
+
+
+def test_exact_branch_frozen_values(params, monkeypatch):
+    # the word quadrature at its fixed budgets, drift b = 0.1 + 0.3 x^2.
+    # Words of one length share one node mesh, so each mean and covariance
+    # is evaluated once per call; one mesh per word sends 120576 pairs at N = 2
+    sent = []
+    cov_pairs = moments._cov_pairs
+
+    def counting(p, t_small, t_big):
+        sent.append(np.size(t_small))
+        return cov_pairs(p, t_small, t_big)
+
+    monkeypatch.setattr(moments, "_cov_pairs", counting)
+    total, parts = moment_via_words(2, params, B_POLY, detail=True)
+    monkeypatch.undo()
+    assert 0 < sum(sent) <= 60_000
+    assert list(parts) == ["J", "IK", "KK"]  # canonical word order
+    expected = {"J": 0.5683560166164987, "IK": 0.10914102184428413, "KK": 0.08662765886460361}
+    for name, value in expected.items():
+        assert parts[name] == pytest.approx(value, rel=1e-13)
+    assert total == pytest.approx(0.7641246973253863, rel=1e-13)
+    total, parts = moment_via_words(3, params, B_POLY, detail=True)
+    assert total == pytest.approx(1.4168373736901327, rel=1e-13)
+    expected = {"IJ": 0.5457051092214206, "IIK": 0.11000116343814893, "KKK": 0.03436062634006369}
+    for name, value in expected.items():
+        assert parts[name] == pytest.approx(value, rel=1e-13)
 
 
 def test_moment_via_words_validation(params):
