@@ -44,11 +44,10 @@ from .exact_law import (
 from .kernels import TimeGrid, _cell_tails, jacobi_rule, legendre_rule
 from .moments import cubic_exact, cubic_scheme
 from .scheme import FunctionSpec, _check_law_grid, _driver_draws, _driver_factor, _propagate
-from .scheme import _resolvent, build_scheme_law
+from .scheme import _MAX_N, _resolvent, build_scheme_law
 from .specfun import gamma
 
 _QUANTITIES = ("mean_X", "var_X", "cov_X", "cubic_L")
-_MAX_CURVE_N = 4096
 _ZETA_TERMS = 40
 _TWO_THIRDS_TOL = 1e-12
 _VAR_CLAMP = 1e-10  # relative tolerance for a slightly negative variance
@@ -155,9 +154,9 @@ def theoretical_rate(alpha: float, n: int) -> float:
 def _check_n_list(n_list: Sequence[int], need_even: bool) -> tuple:
     ns = []
     for n in n_list:
-        if not (isinstance(n, (int, np.integer)) and 2 <= n <= _MAX_CURVE_N):
+        if not (isinstance(n, (int, np.integer)) and 2 <= n <= _MAX_N):
             raise ValidationError(
-                f"weak_error_curve: grid sizes must be integers in [2, {_MAX_CURVE_N}], got {n}"
+                f"weak_error_curve: grid sizes must be integers in [2, {_MAX_N}], got {n}"
             )
         if need_even and n % 2:
             raise ValidationError(

@@ -86,7 +86,8 @@ _OPTIONS: dict = {
 
 @dataclasses.dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved options for one run: model, grid list, command extras."""
+    """Fully resolved options for one run: model, grid list, command extras,
+    and the merged option values they were built from."""
 
     params: ModelParams
     n_list: tuple
@@ -100,6 +101,7 @@ class RunConfig:
     order: int
     which: str
     out: str
+    options: dict
 
 
 class _Parser(argparse.ArgumentParser):
@@ -191,6 +193,7 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         order=int(merged["order"]),
         which=str(merged["which"]),
         out=str(args.out),
+        options=merged,
     )
 
 
@@ -199,28 +202,11 @@ def _spec_string(fs: FunctionSpec) -> str:
 
 
 def _config_echo(cfg: RunConfig) -> dict:
-    p = cfg.params
-    return {
-        "alpha": p.alpha,
-        "kappa1": p.kappa1,
-        "kappa2": p.kappa2,
-        "sigma": p.sigma,
-        "rho": p.rho,
-        "x0": p.x0,
-        "l0": p.L0,
-        "horizon": p.T,
-        "n": list(cfg.n_list),
-        "paths": cfg.paths,
-        "seed": cfg.seed,
-        "b": _spec_string(cfg.b),
-        "f": _spec_string(cfg.f),
-        "phi": _spec_string(cfg.phi),
-        "tol": cfg.tol,
-        "quantity": cfg.quantity,
-        "order": cfg.order,
-        "which": cfg.which,
-        "out": cfg.out,
-    }
+    """Every _OPTIONS key as resolved, the grid list parsed, the function
+    specs in canonical form, plus the output directory."""
+    echo = dict(cfg.options, n=list(cfg.n_list), out=cfg.out)
+    echo.update((key, _spec_string(getattr(cfg, key))) for key in ("b", "f", "phi"))
+    return echo
 
 
 def _fmt_cell(value) -> str:

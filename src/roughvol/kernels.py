@@ -180,8 +180,8 @@ def cross_kernel_table(grid: TimeGrid, alpha: float, omega=None) -> np.ndarray:
     # H = spike spike^T/(2a-1) + spike jac^T + jac spike^T + rl diag(wl) rl^T
     left = np.column_stack((rl * wl, spike / (2.0 * alpha - 1.0) + jac, spike))
     right = np.column_stack((rl, spike, jac))
-    K = np.zeros((n + 1, n + 1))
-    K[1:, 1:] = (grid.dt ** (2.0 * alpha - 1.0) * left) @ right.T
+    pad = ((1, 0), (0, 0))  # zero row 0 on both factors: the product is the whole table
+    K = np.pad(grid.dt ** (2.0 * alpha - 1.0) * left, pad) @ np.pad(right, pad).T
     return _diagonal_cumsum(K)
 
 

@@ -608,7 +608,7 @@ def _word_integrals_exact(
 # --------------------------------------------------------------------------
 
 
-def _scheme_moment(N: int, law: SchemeLaw, p: ModelParams, b: FunctionSpec) -> float:
+def _scheme_moment(N: int, law: SchemeLaw, b: FunctionSpec) -> float:
     """E[(L-check_T)^N] for f(x) = x from the cumulants of a quadratic form.
 
     With Y_k = X-check_{t_k} - m_k (k < n, Y_0 = 0) the scheme log-price is
@@ -641,7 +641,7 @@ def _scheme_moment(N: int, law: SchemeLaw, p: ModelParams, b: FunctionSpec) -> f
     A = law.cov[:n, :n]
     kappa = [float(np.sum(b0 + b1 * m + b2 * (m * m + np.diag(A)))) * dt]
     if N >= 2:
-        C = p.rho * cell_integrated_malliavin(law)[:, :n].T  # C[k, j] = Cov(Y_k, dB_j)
+        C = law.params.rho * cell_integrated_malliavin(law)[:, :n].T  # C[k, j] = Cov(Y_k, dB_j)
         a_y = (b1 + 2.0 * b2 * m) * dt
         a = np.concatenate((a_y, m))
         u = np.concatenate((A @ a_y + C @ m, C.T @ a_y + dt * m))  # Cov(Z) a
@@ -714,7 +714,7 @@ def moment_via_words(
             raise ValidationError(
                 f"moment_via_words: scheme branch capped at n <= {_MAX_FORM_N} for N >= 2"
             )
-        return _scheme_moment(N, build_scheme_law(grid, p), p, b)
+        return _scheme_moment(N, build_scheme_law(grid, p), b)
     b_zero = all(c == 0.0 for c in _poly_coefficients(b))
     integrals = _word_integrals_exact(
         [w for w in words if not (b_zero and "K" in w.letters)], p, b

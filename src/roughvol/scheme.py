@@ -14,14 +14,15 @@ of E_{a,a} in the exact law):
 
     omega_0 = 1,  omega_m = k2 sum_{j=1..m} d_j omega_{m-j}
     mean:  mc    = x0 + (k1 + k2 x0) cumsum(omega * d)
-    D_s Xc_{t_k} = (sigma/Gamma(a)) sum_{i<=k} w_{i,k} (t_i - s)_+^(a-1),
-                   w_{i,k} = omega_{k-i}
+    D_s Xc_{t_k} = (sigma/Gamma(a)) sum_{1<=i<=k} omega_{k-i} (t_i - s)_+^(a-1)
     cov          = (sigma/Gamma(a))^2 int_0^T D_s Xc_{t_j} D_s Xc_{t_k} ds
-    paths        Xc = mc + sigma G w,  one GEMM per block of paths.
+    paths        Xc = mc + sigma G W,  W[i, k] = omega_{k-i},  one GEMM per block.
 
-On cell l, D_s Xc_{t_k} depends on k - l alone, so cov is a diagonal
-cumulative sum of one per-cell Gram matrix (``cross_kernel_table``).  Both
-are O(n^2); the law is capped at n <= 4096.  Path sampling factors the
+The Malliavin weights are Toeplitz in k - i, so the law keeps the vector
+omega and only transient products (the path GEMM, the cell tails) form their
+table.  On cell l, D_s Xc_{t_k} depends on k - l alone, so cov is a diagonal
+cumulative sum of one per-cell Gram matrix (``cross_kernel_table``): the
+law's one O(n^2) array, capped at n <= 4096.  Path sampling factors the
 driver law blockwise (one n x n Schur complement) and is capped at n <= 2048.
 """
 
@@ -132,14 +133,14 @@ class FunctionSpec:
 class SchemeLaw:
     """Deterministic description of the scheme's Gaussian X-check law.
 
-    w is (n+1) x (n+1) with w[i, k] the Malliavin weights (unit diagonal,
-    zero below); mean[k] and cov[j, k] cover grid indices 0..n (index 0 is
-    the deterministic x0).
+    omega[m], m = 0..n, is the discrete resolvent: the Malliavin weight of
+    grid point t_i in Xc_{t_k} is omega[k-i] for 1 <= i <= k.  mean[k] and
+    cov[j, k] cover grid indices 0..n (index 0 is the deterministic x0).
     """
 
     params: ModelParams
     grid: TimeGrid
-    w: np.ndarray
+    omega: np.ndarray
     mean: np.ndarray
     cov: np.ndarray
 
@@ -151,8 +152,9 @@ class SchemeLaw:
 def _resolvent(grid: TimeGrid, p: ModelParams):
     """(omega, mean): the scheme's discrete resolvent and its mean path, O(n^2).
 
-    omega solves omega_m = k2 sum_{j=1..m} d_j omega_{m-j} with omega_0 = 1,
-    so w_{i,k} = omega_{k-i}; mean[k] is the scheme mean at t_k.
+    omega solves omega_m = k2 sum_{j=1..m} d_j omega_{m-j} with omega_0 = 1;
+    omega_m is the Malliavin weight of t_i in Xc_{t_k} for k - i = m.
+    mean[k] is the scheme mean at t_k.
     """
     d = c_weight_diffs(grid, p.alpha)
     n = grid.n
@@ -175,26 +177,24 @@ def _check_law_grid(who: str, grid: TimeGrid, p: ModelParams) -> None:
 
 
 def build_scheme_law(grid: TimeGrid, p: ModelParams) -> SchemeLaw:
-    """Mean, Malliavin weight table, and full covariance of the scheme.
+    """Resolvent, mean, and full covariance of the scheme.
 
-    The weights are the resolvent omega and the covariance is (sigma/Gamma(a))^2
-    times the cell-quadrature table ``cross_kernel_table(grid, a, omega)``;
-    both are O(n^2) and n is capped at 4096.
+    The covariance is (sigma/Gamma(a))^2 times the cell-quadrature table
+    ``cross_kernel_table(grid, a, omega)``, the law's one (n+1) x (n+1)
+    array; it is O(n^2) and n is capped at 4096.
     """
     _check_law_grid("build_scheme_law", grid, p)
     a = p.alpha
     omega, mean = _resolvent(grid, p)
-    w = toeplitz_upper(omega)
-    w[0, 1:] = 0.0  # Xc_0 = x0 is deterministic: index 0 carries no weight
     cov = cross_kernel_table(grid, a, omega)
     cov *= (p.sigma / gamma(a)) ** 2
-    if np.any(np.diag(cov) < -1e-10 * max(float(np.abs(cov).max()), 1.0)):
+    if np.any(np.diag(cov) < -1e-10 * max(cov.max(), -cov.min(), 1.0)):
         raise ConvergenceError("build_scheme_law: negative variance in assembly")
-    return SchemeLaw(params=p, grid=grid, w=w, mean=mean, cov=cov)
+    return SchemeLaw(params=p, grid=grid, omega=omega, mean=mean, cov=cov)
 
 
 def malliavin_scheme(s: float, k: int, law: SchemeLaw) -> float:
-    """D_s Xc_{t_k} = (sigma/Gamma(a)) sum_{i<=k, t_i>s} w_{i,k} (t_i - s)^(a-1).
+    """D_s Xc_{t_k} = (sigma/Gamma(a)) sum_{i<=k, t_i>s} omega_{k-i} (t_i - s)^(a-1).
 
     Finite at every s not equal to some t_i (and at the t_i themselves, where
     the vanishing term is excluded), but diverges as s approaches any grid
@@ -208,7 +208,7 @@ def malliavin_scheme(s: float, k: int, law: SchemeLaw) -> float:
         raise ValidationError(f"malliavin_scheme: need 0 <= s < t_k = {t[k]}, got s={s}")
     p = law.params
     ti = t[: k + 1]
-    wk = law.w[: k + 1, k]
+    wk = law.omega[k::-1]  # i = 0 drops out: t_0 = 0 <= s
     mask = ti > s
     return float(
         p.sigma / gamma(p.alpha) * np.sum(wk[mask] * (ti[mask] - s) ** (p.alpha - 1.0))
@@ -225,7 +225,7 @@ def cell_integrated_malliavin(law: SchemeLaw) -> np.ndarray:
     """
     n = law.n
     d = c_weight_diffs(law.grid, law.params.alpha)
-    omega = law.w[1, 1:]  # omega_0..omega_{n-1}: d[0] = 0 needs no omega_n
+    omega = law.omega[:n]  # d[0] = 0 needs no omega_n
     return law.params.sigma * toeplitz_upper(np.convolve(d, omega)[: n + 1])[:n]
 
 

@@ -69,6 +69,28 @@ def test_config_file_layering(tmp_path):
     assert echo["kappa1"] == 0.25  # flag wins over file
     assert echo["kappa2"] == -1.0  # default survives
     assert echo["quantity"] == "mean_X"  # full echo includes unused keys
+    # the whole echo: every option key once, n parsed, specs canonical, plus out
+    assert echo == {
+        "alpha": 0.8,
+        "b": "constant:0.0",
+        "f": "affine:0.0,1.0",
+        "horizon": 1.0,
+        "kappa1": 0.25,
+        "kappa2": -1.0,
+        "l0": 0.0,
+        "n": [8, 16],
+        "order": 3,
+        "out": str(out),
+        "paths": 10000,
+        "phi": "polynomial:0.0,0.0,0.0,1.0",
+        "quantity": "mean_X",
+        "rho": 0.7,
+        "seed": 1234,
+        "sigma": 1.0,
+        "tol": 0.15,
+        "which": "exact",
+        "x0": 0.2,
+    }
 
 
 def test_unknown_config_key_is_located(tmp_path, capsys):

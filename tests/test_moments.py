@@ -25,6 +25,7 @@ from roughvol import (
 )
 from roughvol import moments
 from roughvol.exact_law import driver_law
+from roughvol.kernels import toeplitz_upper
 from roughvol.moments import Word
 
 F_ID = FunctionSpec("affine", (0.0, 1.0), role="diffusion")
@@ -124,7 +125,7 @@ def brute_scheme_moment(N, p, grid, b):
     n = grid.n
     law = build_scheme_law(grid, p)
     drv = driver_law(p, grid)
-    W = law.w[1:, 1:]
+    W = toeplitz_upper(law.omega)[1:, 1:]
     S = p.sigma * W  # centered X_k = sum_l S[l-1, k-1] G_l
     cov_xx = S.T @ drv.cov[n:, n:] @ S
     cov_xw = S.T @ drv.cov[:n, n:].T  # [k-1, j] = Cov(Xc_k, dW_j)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -20,7 +21,7 @@ from roughvol import (
     sample_scheme_paths,
 )
 from roughvol.exact_law import _cholesky_psd, driver_law
-from roughvol.kernels import c_matrix, graded_panels, legendre_rule
+from roughvol.kernels import c_matrix, graded_panels, legendre_rule, toeplitz_upper
 from roughvol.scheme import _driver_draws, _driver_factor, _propagate, _resolvent
 
 
@@ -91,16 +92,55 @@ def naive_centered_cov(p, grid):
     return p.sigma**2 * S @ gcov @ S.T, S
 
 
-@pytest.mark.parametrize("alpha", [0.51, 0.75, 0.999, 1.0])
-@pytest.mark.parametrize("n", [6, 64])
-def test_scheme_law_against_naive_linear_algebra(params, n, alpha):
-    p = dataclasses.replace(params, alpha=alpha)
+def _assert_law_matches_naive(p, n):
     g = TimeGrid(n, p.T)
     law = build_scheme_law(g, p)
     ref_cov, S = naive_centered_cov(p, g)
     np.testing.assert_allclose(law.cov[1:, 1:], ref_cov, rtol=1e-10, atol=1e-14)
     # the Malliavin weight table is exactly the transposed resolvent
-    np.testing.assert_allclose(law.w[1:, 1:].T, S, rtol=1e-12, atol=1e-14)
+    np.testing.assert_allclose(toeplitz_upper(law.omega)[1:, 1:].T, S, rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("alpha", [0.51, 0.75, 0.999, 1.0])
+@pytest.mark.parametrize("n", [6, 64])
+def test_scheme_law_against_naive_linear_algebra(params, n, alpha):
+    _assert_law_matches_naive(dataclasses.replace(params, alpha=alpha), n)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    alpha=st.floats(min_value=0.5, max_value=1.0, exclude_min=True),
+    kappa2=st.floats(min_value=-30.0, max_value=30.0),
+    n=st.integers(min_value=1, max_value=12),
+)
+@example(alpha=0.5 + 1e-7, kappa2=0.0, n=12)
+@example(alpha=0.5 + 1e-7, kappa2=-30.0, n=12)
+@example(alpha=1.0 - 1e-9, kappa2=30.0, n=12)
+@example(alpha=1.0, kappa2=-30.0, n=12)
+@example(alpha=1.0, kappa2=0.0, n=1)
+def test_scheme_law_against_naive_linear_algebra_at_edges(alpha, kappa2, n):
+    # alpha -> 1/2+, alpha = 1, kappa2 = 0 and |kappa2| up to the
+    # Mittag-Leffler cap, at the same tolerances as the fixed grid above
+    p = ModelParams(x0=0.2, kappa1=0.3, kappa2=kappa2, sigma=1.0, rho=0.7, alpha=alpha, T=1.0)
+    _assert_law_matches_naive(p, n)
+
+
+def test_scheme_law_keeps_one_square_array(params):
+    # the weights stay the resolvent vector: the covariance is the law's only
+    # (n+1)^2 array, and assembling it allocates little beyond it
+    n = 1024
+    g = TimeGrid(n, params.T)
+    build_scheme_law(g, params)  # warm the cached Gauss rules
+    tracemalloc.start()
+    try:
+        law = build_scheme_law(g, params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 8 * (n + 1) ** 2
+    sizes = [getattr(law, f.name).size for f in dataclasses.fields(law)
+             if isinstance(getattr(law, f.name), np.ndarray)]
+    assert sorted(sizes) == [n + 1, n + 1, (n + 1) ** 2]
 
 
 def test_scheme_mean_recursion(params):
@@ -125,7 +165,7 @@ def test_scheme_equals_exact_law_without_reversion(params):
     exact = grid_law_exact(p, g)
     np.testing.assert_allclose(law.mean[1:], exact.mean, rtol=1e-12)
     np.testing.assert_allclose(law.cov[1:, 1:], exact.cov, rtol=1e-9, atol=1e-13)
-    assert np.all(law.w == np.eye(17))
+    assert np.all(toeplitz_upper(law.omega) == np.eye(17))
 
 
 def test_scheme_law_validation(params):
